@@ -26,8 +26,7 @@ struct CacheConfig
     std::uint32_t numMshrs = 16;    ///< outstanding misses
     /**
      * Simulator implementation selector, not a hardware parameter:
-     * true uses the optimized hot path (bounded MSHR interval ring
-     * with early-exit occupancy checks, one-entry last-line-hit fast
+     * true uses the optimized hot path (one-entry last-line-hit fast
      * path in front of the way loop, contiguous port-window storage);
      * false uses the original straight-line reference implementation.
      * The two are bit-exact (tests/test_fastpath_equiv.cc); the
@@ -106,11 +105,10 @@ struct GpuConfig
     /**
      * Master simulator hot-path knob (not a modelled-hardware
      * parameter). True selects the optimized per-cycle simulation
-     * path everywhere — cache MSHR/lookup fast paths, contiguous
-     * port-window storage, the shader-core event loop's cached
-     * next-event candidates, and the raster pipeline's pooled
-     * quad/flush arenas. False selects the original reference
-     * implementations. Both produce bit-identical FrameStats and
+     * path everywhere — cache lookup fast path, contiguous
+     * port-window storage and the raster pipeline's pooled quad/flush
+     * arenas. False selects the original reference implementations.
+     * Both produce bit-identical FrameStats and
      * imageHash (enforced by tests/test_fastpath_equiv.cc); toggle
      * with the `fastpath` key of applyConfigOption() or
      * `--reference-path` on the bench binaries for A/B validation.

@@ -339,6 +339,11 @@ RasterPipeline::run(const ParamBuffer &pb, FrameStats &fs)
 
     std::array<Cycle, kNumSubtiles> prev_fs_finish{};
 
+    // DTEXL_TRACE_TILES=N: print the first N tiles' timings to stderr.
+    const char *trace_env = std::getenv("DTEXL_TRACE_TILES");
+    const std::uint32_t trace_tiles =
+        trace_env ? static_cast<std::uint32_t>(std::atoi(trace_env)) : 0;
+
     while (!fetcher.done()) {
         // --- Tile Fetcher (runs up to two tiles ahead) ---
         if (rast_start_history.size() >= 2) {
@@ -728,25 +733,22 @@ RasterPipeline::run(const ParamBuffer &pb, FrameStats &fs)
         if (tmon && tmon->sampling())
             tmon->maybeSample(frame_end);
 
-        if (const char *dbg = getenv("DTEXL_TRACE_TILES")) {
-            if (tile.sequence <
-                static_cast<std::uint32_t>(atoi(dbg))) {
-                std::fprintf(stderr,
-                    "tile %3u prims %3zu quads %4zu | fetch %llu rastS "
-                    "%llu rastE %llu | ez %llu | fs %llu,%llu,%llu,"
-                    "%llu | bl %llu | fl %llu\n",
-                    tile.sequence, tile.prims.size(), quads.size(),
-                    (unsigned long long)tile.readyAt,
-                    (unsigned long long)rast_start,
-                    (unsigned long long)rast_free,
-                    (unsigned long long)pipes[0].ezFinish,
-                    (unsigned long long)pipes[0].fsFinish,
-                    (unsigned long long)pipes[1].fsFinish,
-                    (unsigned long long)pipes[2].fsFinish,
-                    (unsigned long long)pipes[3].fsFinish,
-                    (unsigned long long)pipes[0].blendFinish,
-                    (unsigned long long)pipes[0].flushDone);
-            }
+        if (tile.sequence < trace_tiles) {
+            std::fprintf(stderr,
+                "tile %3u prims %3zu quads %4zu | fetch %llu rastS "
+                "%llu rastE %llu | ez %llu | fs %llu,%llu,%llu,"
+                "%llu | bl %llu | fl %llu\n",
+                tile.sequence, tile.prims.size(), quads.size(),
+                (unsigned long long)tile.readyAt,
+                (unsigned long long)rast_start,
+                (unsigned long long)rast_free,
+                (unsigned long long)pipes[0].ezFinish,
+                (unsigned long long)pipes[0].fsFinish,
+                (unsigned long long)pipes[1].fsFinish,
+                (unsigned long long)pipes[2].fsFinish,
+                (unsigned long long)pipes[3].fsFinish,
+                (unsigned long long)pipes[0].blendFinish,
+                (unsigned long long)pipes[0].flushDone);
         }
     }
 

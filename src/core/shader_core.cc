@@ -119,36 +119,47 @@ ShaderCore::sampleQuad(Warp &warp, Cycle cycle)
     return ready;
 }
 
-void
+Cycle
 ShaderCore::issueInstruction(Warp &warp, Cycle cycle)
 {
     if (warp.aluLeft > 0) {
         --warp.aluLeft;
-        warp.readyAt = cycle + kAluLatency;
         ++*hot.aluOps;
-        return;
+        return cycle + kAluLatency;
     }
     dtexl_assert(warp.texLeft > 0, "issue on a finished warp");
-    warp.readyAt = sampleQuad(warp, cycle);
+    const Cycle ready = sampleQuad(warp, cycle);
     --warp.texLeft;
     warp.aluLeft = warp.texLeft > 0 ? warp.aluPerSegment : warp.aluTail;
     ++*hot.texInstructions;
+    return ready;
 }
 
 /** Per-core execution state within runBatches(). */
 struct ShaderCore::CoreRun
 {
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** Scheduling state of one warp slot, parallel to `warps`. */
+    struct Slot
+    {
+        Cycle readyAt = kCycleNever;  ///< kCycleNever when free
+        std::size_t batchIndex = 0;
+    };
+
     ShaderCore *core = nullptr;
     const QuadStream *stream = nullptr;
     const std::vector<std::uint32_t> *quads = nullptr;
     const std::vector<Cycle> *arrivals = nullptr;
     Cycle gate = 0;
     std::vector<Warp> warps;
+    /** The only copy of the ready cycles, so pick() never reads warps. */
+    std::vector<Slot> slots;
     std::size_t activeCount = 0;
     std::size_t nextPending = 0;
     Cycle nextIssueAt = 0;
-    /** Warp issued last cycle (for the Greedy policy). */
-    Warp *lastIssued = nullptr;
+    /** Slot issued last cycle (for the Greedy policy). */
+    std::size_t lastIssued = kNoSlot;
     /** Sampling LOD per batch position; see resolveLods(). */
     std::vector<float> lods;
     BatchResult res;
@@ -200,52 +211,55 @@ struct ShaderCore::CoreRun
     }
 
     /**
-     * Select the next warp under the core's scheduling policy.
+     * Select the next warp under the core's scheduling policy. Issue
+     * happens at the earliest active ready cycle (no earlier than
+     * nextIssueAt); the policy chooses among the warps ready by then.
+     * Free slots read kCycleNever, so they are never eligible.
      *
-     * @param cycle Issue cycle of the selected warp (output).
-     * @return Selected warp, or null when no warp is active.
+     * @param cycle Issue cycle of the selected warp (output);
+     *              kCycleNever when no warp is active.
+     * @return Selected slot, or kNoSlot when no warp is active.
      */
-    Warp *
-    pick(Cycle &cycle)
+    std::size_t
+    pick(Cycle &cycle) const
     {
+        cycle = kCycleNever;
         if (activeCount == 0)
-            return nullptr;
-        // Earliest feasible issue cycle across all active warps.
-        Cycle min_ready = kCycleNever;
-        for (const Warp &w : warps)
-            if (w.active)
-                min_ready = std::min(min_ready, w.readyAt);
-        cycle = std::max(min_ready, nextIssueAt);
-
+            return kNoSlot;
+        const std::size_t n = slots.size();
         const WarpSched policy = core->cfg.warpScheduler;
-        if (policy == WarpSched::Greedy && lastIssued &&
-            lastIssued->active && lastIssued->readyAt <= cycle) {
+        if (policy == WarpSched::EarliestReady) {
+            // The argmin over (readyAt, batchIndex) is ready by `cycle`.
+            std::size_t best = 0;
+            for (std::size_t i = 1; i < n; ++i) {
+                if (slots[i].readyAt < slots[best].readyAt ||
+                    (slots[i].readyAt == slots[best].readyAt &&
+                     slots[i].batchIndex < slots[best].batchIndex)) {
+                    best = i;
+                }
+            }
+            cycle = std::max(slots[best].readyAt, nextIssueAt);
+            return best;
+        }
+
+        Cycle min_ready = kCycleNever;
+        for (const Slot &s : slots)
+            min_ready = std::min(min_ready, s.readyAt);
+        cycle = std::max(min_ready, nextIssueAt);
+        if (policy == WarpSched::Greedy && lastIssued != kNoSlot &&
+            slots[lastIssued].readyAt <= cycle) {
             return lastIssued;
         }
-        Warp *best = nullptr;
-        for (Warp &w : warps) {
-            if (!w.active || w.readyAt > cycle)
-                continue;
-            if (!best) {
-                best = &w;
-                continue;
-            }
-            switch (policy) {
-              case WarpSched::EarliestReady:
-                if (w.readyAt < best->readyAt ||
-                    (w.readyAt == best->readyAt &&
-                     w.batchIndex < best->batchIndex)) {
-                    best = &w;
-                }
-                break;
-              case WarpSched::OldestFirst:
-              case WarpSched::Greedy:  // greedy falls back to oldest
-                if (w.batchIndex < best->batchIndex)
-                    best = &w;
-                break;
+        std::size_t best = kNoSlot;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (slots[i].readyAt <= cycle &&
+                (best == kNoSlot ||
+                 slots[i].batchIndex < slots[best].batchIndex)) {
+                best = i;
             }
         }
-        dtexl_assert(best, "no eligible warp at its own ready time");
+        dtexl_assert(best != kNoSlot,
+                     "no eligible warp at its own ready time");
         return best;
     }
 };
@@ -259,14 +273,11 @@ ShaderCore::admitWarps(CoreRun &run)
         const Cycle ready =
             std::max((*run.arrivals)[run.nextPending], run.gate);
         const ShaderDesc &sh = run.stream->prim(qi)->shader;
-        Warp *slot = nullptr;
-        for (Warp &w : run.warps) {
-            if (!w.active) {
-                slot = &w;
-                break;
-            }
-        }
-        dtexl_assert(slot);
+        std::size_t s = 0;
+        while (s < run.slots.size() &&
+               run.slots[s].readyAt != kCycleNever)
+            ++s;
+        dtexl_assert(s < run.slots.size());
         if (sh.aluOps == 0 && sh.texSamples == 0) {
             // Degenerate empty shader: completes on arrival.
             run.res.completion[run.nextPending] = ready;
@@ -275,10 +286,11 @@ ShaderCore::admitWarps(CoreRun &run)
             ++*hot.warps;
             continue;
         }
+        run.slots[s].readyAt = ready;
+        run.slots[s].batchIndex = run.nextPending;
+        Warp *slot = &run.warps[s];
         slot->stream = run.stream;
         slot->quadIndex = qi;
-        slot->batchIndex = run.nextPending;
-        slot->readyAt = ready;
         slot->texLeft = sh.texSamples;
         slot->aluPerSegment = static_cast<std::uint16_t>(
             sh.texSamples > 0 ? sh.aluOps / (sh.texSamples + 1)
@@ -293,7 +305,6 @@ ShaderCore::admitWarps(CoreRun &run)
             sh.texSamples > 0 ? slot->aluPerSegment : slot->aluTail;
         slot->lod = run.lods[run.nextPending];
         slot->fpValid = false;  // slot reuse: footprint is per-quad
-        slot->active = true;
         ++run.activeCount;
         ++run.nextPending;
         ++*hot.warps;
@@ -319,13 +330,13 @@ ShaderCore::dumpRuns(const std::vector<CoreRun> &runs, Cycle progress)
            << run.nextIssueAt << "\n";
         for (std::size_t w = 0; w < run.warps.size(); ++w) {
             const Warp &warp = run.warps[w];
-            if (!warp.active)
+            const Cycle ready = run.slots[w].readyAt;
+            if (ready == kCycleNever)
                 continue;
             os << "    warp " << w << ": quad " << warp.quadIndex
-               << " (batch " << warp.batchIndex << "), ready at "
-               << warp.readyAt << " (+"
-               << (warp.readyAt > progress ? warp.readyAt - progress
-                                           : 0)
+               << " (batch " << run.slots[w].batchIndex
+               << "), ready at " << ready << " (+"
+               << (ready > progress ? ready - progress : 0)
                << "), alu left " << warp.aluLeft << ", tex left "
                << static_cast<unsigned>(warp.texLeft) << "\n";
         }
@@ -379,6 +390,7 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
         if (n > 0)
             run.res.start = std::max(run.gate, run.arrivals->front());
         run.warps.resize(run.core->cfg.maxWarpsPerCore);
+        run.slots.resize(run.warps.size());
         run.nextIssueAt = run.gate;
         run.resolveLods();
         run.core->admitWarps(run);
@@ -389,16 +401,14 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
     // order at the shared levels. Within a core, the configured warp
     // scheduling policy selects among ready warps.
     //
-    // Two implementations of the same selection, switched by the
-    // simFastPath knob. The fast one caches each run's pick() result:
-    // pick() depends only on run-local state (its warps' readyAt and
-    // activity, nextIssueAt — never on memory-model state), so a
-    // cached candidate stays valid until its own run issues, and runs
-    // stalled on texture data are not rescanned every event — the
-    // event-driven analog of skipping idle cycles. Both paths choose
-    // the earliest cycle with the lowest run index breaking ties, so
-    // the issue sequences — and therefore every downstream memory
-    // access and stat — are identical (tests/test_fastpath_equiv.cc).
+    // Each run's pick() result is cached: pick() depends only on
+    // run-local state (its slots' ready cycles, nextIssueAt — never on
+    // memory-model state), so a cached candidate stays valid until its
+    // own run issues, and runs stalled on texture data are not
+    // rescanned every event — the event-driven analog of skipping idle
+    // cycles. The earliest cycle wins, the lowest run index breaking
+    // ties.
+    //
     // Forward-progress watchdog baseline: the latest cycle at which
     // work legitimately becomes available (gates and EZ arrivals). Any
     // event budget cycles beyond the last productive one means a warp
@@ -412,108 +422,60 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
             progress = std::max(progress, run.arrivals->back());
     }
 
-    const bool fast_path =
-        !cores.empty() && cores.front()->cfg.simFastPath;
-    if (fast_path) {
-        struct Cand
-        {
-            Warp *warp = nullptr;
-            Cycle cycle = kCycleNever;
-        };
-        std::vector<Cand> cands(runs.size());
-        for (std::size_t i = 0; i < runs.size(); ++i)
-            cands[i].warp = runs[i].pick(cands[i].cycle);
-        for (;;) {
-            std::size_t best = runs.size();
-            Cycle best_cycle = kCycleNever;
-            for (std::size_t i = 0; i < runs.size(); ++i) {
-                if (cands[i].warp && cands[i].cycle < best_cycle) {
-                    best_cycle = cands[i].cycle;
-                    best = i;
-                }
-            }
-            if (best == runs.size())
-                break;
-            checkForwardProgress(runs, watchdog_budget, progress,
-                                 best_cycle);
-            progress = best_cycle;
-            if (hook) {
-                // Commit point of the cycle-ordered merge: siblings
-                // with smaller keys run first; the L2 gates block this
-                // event's shared-level accesses until the key is the
-                // global minimum.
-                hook->merge->publish(
-                    hook->domain,
-                    DomainMerge::packKey(
-                        best_cycle,
-                        hook->coreOffset +
-                            static_cast<std::uint32_t>(best)));
-            }
-
-            CoreRun &run = runs[best];
-            Warp *warp = cands[best].warp;
-            run.nextIssueAt = best_cycle + 1;
-            run.lastIssued = warp;
-            ++run.res.issues;
-            run.core->issueInstruction(*warp, best_cycle);
-            if (warp->aluLeft == 0 && warp->texLeft == 0) {
-                run.res.completion[warp->batchIndex] = warp->readyAt;
-                run.res.finish =
-                    std::max(run.res.finish, warp->readyAt);
-                warp->active = false;
-                run.lastIssued = nullptr;
-                --run.activeCount;
-                run.core->admitWarps(run);
-            }
-            // Only this run's state changed; refresh its candidate.
-            cands[best].warp = nullptr;
-            cands[best].cycle = kCycleNever;
-            cands[best].warp = runs[best].pick(cands[best].cycle);
-        }
-    } else {
-        // Reference implementation: re-pick every run every event.
-        for (;;) {
-            CoreRun *best_run = nullptr;
-            Warp *best_warp = nullptr;
-            Cycle best_cycle = kCycleNever;
-            for (CoreRun &run : runs) {
-                Cycle cycle = kCycleNever;
-                Warp *pick = run.pick(cycle);
-                if (pick && cycle < best_cycle) {
-                    best_cycle = cycle;
-                    best_run = &run;
-                    best_warp = pick;
-                }
-            }
-            if (!best_run)
-                break;
-            checkForwardProgress(runs, watchdog_budget, progress,
-                                 best_cycle);
-            progress = best_cycle;
-            if (hook) {
-                hook->merge->publish(
-                    hook->domain,
-                    DomainMerge::packKey(
-                        best_cycle,
-                        hook->coreOffset + static_cast<std::uint32_t>(
-                                               best_run - runs.data())));
-            }
-
-            best_run->nextIssueAt = best_cycle + 1;
-            best_run->lastIssued = best_warp;
-            ++best_run->res.issues;
-            best_run->core->issueInstruction(*best_warp, best_cycle);
-            if (best_warp->aluLeft == 0 && best_warp->texLeft == 0) {
-                best_run->res.completion[best_warp->batchIndex] =
-                    best_warp->readyAt;
-                best_run->res.finish = std::max(best_run->res.finish,
-                                                best_warp->readyAt);
-                best_warp->active = false;
-                best_run->lastIssued = nullptr;
-                --best_run->activeCount;
-                best_run->core->admitWarps(*best_run);
+    struct Cand
+    {
+        std::size_t slot = CoreRun::kNoSlot;
+        Cycle cycle = kCycleNever;
+    };
+    std::vector<Cand> cands(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        cands[i].slot = runs[i].pick(cands[i].cycle);
+    for (;;) {
+        std::size_t best = runs.size();
+        Cycle best_cycle = kCycleNever;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            if (cands[i].cycle < best_cycle) {
+                best_cycle = cands[i].cycle;
+                best = i;
             }
         }
+        if (best == runs.size())
+            break;
+        checkForwardProgress(runs, watchdog_budget, progress,
+                             best_cycle);
+        progress = best_cycle;
+        if (hook) {
+            // Commit point of the cycle-ordered merge: siblings with
+            // smaller keys run first; the L2 gates block this event's
+            // shared-level accesses until the key is the global
+            // minimum.
+            hook->merge->publish(
+                hook->domain,
+                DomainMerge::packKey(
+                    best_cycle,
+                    hook->coreOffset + static_cast<std::uint32_t>(best)));
+        }
+
+        CoreRun &run = runs[best];
+        const std::size_t slot = cands[best].slot;
+        CoreRun::Slot &sched = run.slots[slot];
+        Warp &warp = run.warps[slot];
+        run.nextIssueAt = best_cycle + 1;
+        run.lastIssued = slot;
+        ++run.res.issues;
+        const Cycle ready = run.core->issueInstruction(warp, best_cycle);
+        if (warp.aluLeft == 0 && warp.texLeft == 0) {
+            run.res.completion[sched.batchIndex] = ready;
+            run.res.finish = std::max(run.res.finish, ready);
+            sched.readyAt = kCycleNever;
+            run.lastIssued = CoreRun::kNoSlot;
+            --run.activeCount;
+            run.core->admitWarps(run);
+        } else {
+            sched.readyAt = ready;
+        }
+        // Only this run's state changed; refresh its candidate.
+        cands[best].slot = run.pick(cands[best].cycle);
     }
 
     std::vector<BatchResult> out;

@@ -118,17 +118,15 @@ class ShaderCore
     static constexpr Cycle kFilterLatency = 4;
 
   private:
+    /** One warp slot; its ready cycle lives in CoreRun::slots. */
     struct Warp
     {
         const QuadStream *stream = nullptr;
         std::uint32_t quadIndex = 0;   ///< index into `stream`
-        std::size_t batchIndex = 0;
-        Cycle readyAt = 0;
         std::uint16_t aluLeft = 0;     ///< ALU ops before next tex/end
         std::uint8_t texLeft = 0;      ///< tex instructions remaining
         std::uint16_t aluPerSegment = 0;
         std::uint16_t aluTail = 0;     ///< ALU ops after the last tex
-        bool active = false;
 
         /**
          * Sampling level of detail, resolved for the whole batch up
@@ -168,8 +166,8 @@ class ShaderCore
                                      Cycle budget, Cycle progress,
                                      Cycle next_event);
 
-    /** Issue the warp's next instruction at @p cycle; updates state. */
-    void issueInstruction(Warp &warp, Cycle cycle);
+    /** Issue the warp's next instruction; returns its next ready cycle. */
+    Cycle issueInstruction(Warp &warp, Cycle cycle);
     /** Execute a texture instruction; returns data-ready cycle. */
     Cycle sampleQuad(Warp &warp, Cycle cycle);
     /** Admit pending quads into free warp slots. */

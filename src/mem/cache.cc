@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/log.hh"
 #include "common/serial.hh"
@@ -89,30 +90,51 @@ Cache::acquireMshr(Cycle ready)
     // Purging is part of the model's semantics, not just a memory
     // bound: access times are out-of-order, so an interval dropped at
     // one access's (later) timestamp may have overlapped a subsequent
-    // access's (earlier) timestamp. Both hot-path settings therefore
-    // purge at exactly the same points — unconditionally, here.
+    // access's (earlier) timestamp. So every acquire purges first.
     purgeMshrs(ready);
-    if (cfg.fastPath) {
-        // Early exit, bit-exact with the scan below: with fewer
-        // retained intervals than MSHRs, every window the scan could
-        // count is under capacity, so the access starts at `ready`.
-        if (mshrIntervals.size() < cfg.numMshrs)
-            return ready;
+    if (mshrIntervals.size() < cfg.numMshrs)
+        return ready;  // no cycle can be at capacity
+
+    // Start at the first cycle t >= ready with fewer than numMshrs
+    // intervals start <= t < fill. The min-heap holds the fills of the
+    // intervals started by `start` (all retained fills are > ready);
+    // later ones join in start order. Heap size is the occupancy, its
+    // top the next cycle an MSHR frees.
+    const auto later_fill = std::greater<Cycle>();
+    mshrFillHeap.clear();
+    mshrLater.clear();
+    for (const MshrInterval &iv : mshrIntervals) {
+        if (iv.start <= ready)
+            mshrFillHeap.push_back(iv.fill);
+        else
+            mshrLater.push_back(iv);
     }
+    if (mshrFillHeap.size() < cfg.numMshrs)
+        return ready;
+    std::make_heap(mshrFillHeap.begin(), mshrFillHeap.end(), later_fill);
+    std::sort(mshrLater.begin(), mshrLater.end(),
+              [](const MshrInterval &a, const MshrInterval &b) {
+                  return a.start < b.start;
+              });
     Cycle start = ready;
-    for (;;) {
-        std::uint32_t occupied = 0;
-        Cycle next_free = kCycleNever;
-        for (const MshrInterval &iv : mshrIntervals) {
-            if (iv.start <= start && start < iv.fill) {
-                ++occupied;
-                next_free = std::min(next_free, iv.fill);
+    std::size_t next_later = 0;
+    while (mshrFillHeap.size() >= cfg.numMshrs) {
+        ++*hot.mshrStall;
+        start = mshrFillHeap.front();
+        while (!mshrFillHeap.empty() && mshrFillHeap.front() <= start) {
+            std::pop_heap(mshrFillHeap.begin(), mshrFillHeap.end(),
+                          later_fill);
+            mshrFillHeap.pop_back();
+        }
+        for (; next_later < mshrLater.size() &&
+               mshrLater[next_later].start <= start;
+             ++next_later) {
+            if (mshrLater[next_later].fill > start) {
+                mshrFillHeap.push_back(mshrLater[next_later].fill);
+                std::push_heap(mshrFillHeap.begin(), mshrFillHeap.end(),
+                               later_fill);
             }
         }
-        if (occupied < cfg.numMshrs)
-            break;
-        ++*hot.mshrStall;
-        start = next_free;
     }
     if (telemetry && start > ready)
         telemetry->span(ready, start, StallReason::MshrFull);
@@ -169,20 +191,15 @@ Cache::access(Addr addr, AccessType type, Cycle now)
 
     const Cycle start = arbitratePort(now);
 
-    // One pending-fill lookup serves both the lazy retire and the
-    // hit-under-fill check below (the double find showed in profiles).
-    auto pending = pendingFills.find(la);
-    if (pending != pendingFills.end() && pending->second <= start) {
-        pendingFills.erase(pending);
-        pending = pendingFills.end();
-    }
-
     if (Line *line = lookup(la, type)) {
-        (void)line;
+        // Lazy retire: a fill done by this start stays retired for
+        // every later-simulated access, even an earlier-timestamped one.
+        if (line->pendingFill <= start)
+            line->pendingFill = 0;
         Cycle done = start + cfg.hitLatency;
-        if (pending != pendingFills.end()) {
+        if (line->pendingFill != 0) {
             ++*hot.hitUnderFill;
-            done = std::max(done, pending->second);
+            done = std::max(done, line->pendingFill);
         } else {
             ++*(type == AccessType::Read ? hot.readHit : hot.writeHit);
         }
@@ -199,25 +216,22 @@ Cache::access(Addr addr, AccessType type, Cycle now)
         ++*hot.writeback;
         nextLevel.access(victim.tag, AccessType::Write, issue);
     }
-    if (victim.valid)
-        pendingFills.erase(victim.tag);
 
     Cycle fill = nextLevel.access(la, AccessType::Read, issue);
     victim.valid = true;
     victim.tag = la;
     victim.dirty = (type == AccessType::Write);
     victim.lruStamp = ++lruCounter;
+    victim.pendingFill = fill;
     lastHit = &victim;
-    pendingFills[la] = fill;
     mshrIntervals.push_back({issue, fill});
 
     // Optional next-line prefetch: ride the demand miss with a fetch
     // of the following line (the next Morton block of the texture),
-    // if it is not already resident or in flight.
+    // if it is not already resident (a line in flight is resident).
     if (cfg.prefetchNextLine) {
         const Addr nla = la + cfg.lineBytes;
-        if (!contains(nla) && pendingFills.find(nla) ==
-                                  pendingFills.end()) {
+        if (!contains(nla)) {
             ++*hot.prefetchIssued;
             const Cycle pf_issue = acquireMshr(issue);
             Line &pf_victim = findVictim(setIndex(nla));
@@ -226,15 +240,13 @@ Cache::access(Addr addr, AccessType type, Cycle now)
                 nextLevel.access(pf_victim.tag, AccessType::Write,
                                  pf_issue);
             }
-            if (pf_victim.valid)
-                pendingFills.erase(pf_victim.tag);
             const Cycle pf_fill =
                 nextLevel.access(nla, AccessType::Read, pf_issue);
             pf_victim.valid = true;
             pf_victim.tag = nla;
             pf_victim.dirty = false;
             pf_victim.lruStamp = ++lruCounter;
-            pendingFills[nla] = pf_fill;
+            pf_victim.pendingFill = pf_fill;
             mshrIntervals.push_back({pf_issue, pf_fill});
         }
     }
@@ -263,12 +275,11 @@ Cache::writeLine(Addr addr, Cycle now)
         nextLevel.access(victim.tag, AccessType::Write,
                          start + cfg.hitLatency);
     }
-    if (victim.valid)
-        pendingFills.erase(victim.tag);
     victim.valid = true;
     victim.tag = la;
     victim.dirty = true;
     victim.lruStamp = ++lruCounter;
+    victim.pendingFill = 0;
     lastHit = &victim;
     return start + cfg.hitLatency;
 }
@@ -289,7 +300,8 @@ Cache::contains(Addr addr) const
 void
 Cache::resetTiming()
 {
-    pendingFills.clear();
+    for (Line &l : lines)
+        l.pendingFill = 0;
     mshrIntervals.clear();
     port.clear();
     // lastHit stays warm like the tags: it only short-circuits the
@@ -336,7 +348,6 @@ Cache::flushAll()
 {
     for (Line &l : lines)
         l = Line{};
-    pendingFills.clear();
     mshrIntervals.clear();
     lastHit = nullptr;
     lruCounter = 0;
@@ -346,8 +357,10 @@ Cache::flushAll()
 std::string
 Cache::dumpInFlight() const
 {
-    std::string s = name + ": " +
-                    std::to_string(pendingFills.size()) +
+    std::size_t pending = 0;
+    for (const Line &l : lines)
+        pending += l.pendingFill != 0 ? 1 : 0;
+    std::string s = name + ": " + std::to_string(pending) +
                     " pending fill(s), " +
                     std::to_string(mshrIntervals.size()) +
                     " MSHR interval(s)";

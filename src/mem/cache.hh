@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
@@ -135,6 +134,8 @@ class Cache : public MemLevel
         bool valid = false;
         bool dirty = false;
         std::uint64_t lruStamp = 0;
+        /** In-flight fill completion cycle, 0 for none (see access()). */
+        Cycle pendingFill = 0;
     };
 
     Addr lineAddr(Addr a) const { return a & ~Addr{cfg.lineBytes - 1}; }
@@ -167,14 +168,6 @@ class Cache : public MemLevel
     Line *lastHit = nullptr;
 
     /**
-     * Pending line fills: line address -> fill completion cycle. Only
-     * ever point-queried (find/erase/insert), so the hash container is
-     * invisible to results; it replaces a std::map that showed up in
-     * profiles at one find per access.
-     */
-    std::unordered_map<Addr, Cycle> pendingFills;
-
-    /**
      * In-flight miss intervals [start, fill). MSHR capacity is
      * enforced by interval overlap at the access's own issue time, so
      * an access that logically precedes already-simulated misses is
@@ -187,6 +180,9 @@ class Cache : public MemLevel
         Cycle fill;
     };
     std::vector<MshrInterval> mshrIntervals;
+    /** acquireMshr() scratch, kept to reuse its capacity. */
+    std::vector<Cycle> mshrFillHeap;
+    std::vector<MshrInterval> mshrLater;
 
     /**
      * Port occupancy: portsPerCycle * kPortWindow accesses per

@@ -266,20 +266,21 @@ class IntervalResource
         while (busy.size() > 64)
             busy.pop_front();
 
-        Cycle start = now;
-        for (const auto &[s, e] : busy) {
-            if (e <= start)
-                continue;
-            if (s >= start + duration)
-                break;  // fits in the gap before this interval
-            start = e;
-        }
-        // Insert sorted by start.
-        auto it = std::lower_bound(
-            busy.begin(), busy.end(), start,
-            [](const std::pair<Cycle, Cycle> &iv, Cycle v) {
-                return iv.first < v;
+        // Sorted, non-overlapping intervals have sorted ends: skip the
+        // prefix ending by `now`. Past it every end exceeds `start`.
+        auto it = std::partition_point(
+            busy.begin(), busy.end(),
+            [now](const std::pair<Cycle, Cycle> &iv) {
+                return iv.second <= now;
             });
+        Cycle start = now;
+        for (; it != busy.end(); ++it) {
+            if (it->first >= start + duration)
+                break;  // fits in the gap before this interval
+            start = it->second;
+        }
+        // `it` is the sorted insert position: earlier intervals end by
+        // `start`, `it` starts at or after start + duration.
         busy.insert(it, {start, start + duration});
         return start;
     }

@@ -767,10 +767,14 @@ Daemon::connLoop(int fd)
             break;
     }
     ::shutdown(fd, SHUT_RDWR);
+    // Deregister before closing: a connection accepted after the
+    // close may reuse the number and must stay on the drain's list.
+    {
+        std::lock_guard<std::mutex> lk(connMu_);
+        connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
+                       connFds_.end());
+    }
     ::close(fd);
-    std::lock_guard<std::mutex> lk(connMu_);
-    connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
-                   connFds_.end());
 }
 
 void

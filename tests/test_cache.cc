@@ -2,12 +2,19 @@
  * @file
  * Unit tests for the set-associative cache model: hit/miss behaviour,
  * LRU replacement, write-back of dirty victims, MSHR merging and
- * capacity stalls, port arbitration, and timing-vs-contents resets.
+ * capacity stalls, port arbitration, and timing-vs-contents resets,
+ * plus a differential check against a brute-force model over random
+ * out-of-order access streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "common/config.hh"
+#include "common/rng.hh"
 #include "mem/cache.hh"
 
 namespace dtexl {
@@ -325,6 +332,239 @@ TEST(Cache, MissRateAccounting)
     EXPECT_EQ(c.misses(), 2u);
     EXPECT_DOUBLE_EQ(c.missRate(), 0.5);
 }
+
+TEST(Cache, LaterAccessWithEarlierTimestampSeesRetiredFill)
+{
+    // Pending fills retire lazily: the first access starting at or
+    // past the fill retires it for every access simulated afterwards,
+    // including one whose timestamp precedes the fill.
+    FakeMem mem(100);
+    Cache c("t", smallCache(), 4, mem);
+    c.access(0x1000, AccessType::Read, 0);  // fill completes at 101
+    EXPECT_EQ(c.access(0x1000, AccessType::Read, 500), 501u);
+    EXPECT_EQ(c.access(0x1000, AccessType::Read, 10), 11u);
+    EXPECT_EQ(c.stats().get("hit_under_fill"), 0u);
+    EXPECT_EQ(c.stats().get("read_hit"), 2u);
+
+    // Without the retiring access in between, the early access still
+    // waits for the line.
+    FakeMem mem2(100);
+    Cache c2("t", smallCache(), 4, mem2);
+    c2.access(0x1000, AccessType::Read, 0);
+    EXPECT_EQ(c2.access(0x1000, AccessType::Read, 50), 101u);
+    EXPECT_EQ(c2.access(0x1000, AccessType::Read, 10), 101u);
+    EXPECT_EQ(c2.stats().get("hit_under_fill"), 2u);
+}
+
+TEST(Cache, PrefetchSkipsLineWithFillInFlight)
+{
+    FakeMem mem(100);
+    CacheConfig cfg = smallCache();
+    cfg.prefetchNextLine = true;
+    Cache c("t", cfg, 4, mem);
+    // Demand miss on 0x1040 (fill at 101) prefetches 0x1080.
+    EXPECT_EQ(c.access(0x1040, AccessType::Read, 0), 101u);
+    EXPECT_EQ(mem.count, 2u);
+    // A miss on 0x1000 finds its next line 0x1040 still in flight:
+    // resident, so no second fetch and no prefetch.
+    c.access(0x1000, AccessType::Read, 5);
+    EXPECT_EQ(mem.count, 3u);
+    EXPECT_EQ(c.stats().get("prefetch_issued"), 1u);
+    // The in-flight line keeps its own fill cycle.
+    EXPECT_EQ(c.access(0x1040, AccessType::Read, 10), 101u);
+    EXPECT_EQ(c.stats().get("hit_under_fill"), 1u);
+}
+
+/**
+ * Brute-force model of Cache over a fixed-latency backing store: a
+ * line-address -> fill-cycle map for pending fills (retired lazily,
+ * exactly as the cache does), and MSHR occupancy found by rescanning
+ * every retained interval at each candidate start cycle. Ports use the
+ * real RateWindow, which has its own tests.
+ */
+class CacheModel
+{
+  public:
+    CacheModel(const CacheConfig &cfg, std::uint32_t ports, Cycle latency)
+        : cfg(cfg), latency(latency), port(ports * 8, 8),
+          lines(std::size_t{cfg.numSets()} * cfg.ways)
+    {}
+
+    Cycle
+    access(Addr addr, AccessType type, Cycle now)
+    {
+        const Addr la = addr & ~Addr{cfg.lineBytes - 1};
+        bool stalled = false;
+        const Cycle start = port.reserve(now, stalled);
+        auto pending = pendingFills.find(la);
+        if (pending != pendingFills.end() && pending->second <= start) {
+            pendingFills.erase(pending);
+            pending = pendingFills.end();
+        }
+        if (Line *l = find(la)) {
+            l->lru = ++clock;
+            l->dirty |= type == AccessType::Write;
+            Cycle done = start + cfg.hitLatency;
+            if (pending != pendingFills.end()) {
+                ++hitUnderFill;
+                done = std::max(done, pending->second);
+            } else {
+                ++hits;
+            }
+            return done;
+        }
+        ++misses;
+        const Cycle issue = acquireMshr(start) + cfg.hitLatency;
+        const Cycle fill = allocate(la, type == AccessType::Write, issue);
+        if (cfg.prefetchNextLine) {
+            const Addr nla = la + cfg.lineBytes;
+            if (!find(nla) && pendingFills.count(nla) == 0) {
+                ++prefetches;
+                allocate(nla, false, acquireMshr(issue));
+            }
+        }
+        return fill;
+    }
+
+    std::uint64_t hits = 0, misses = 0, hitUnderFill = 0;
+    std::uint64_t mshrStall = 0, writebacks = 0, prefetches = 0;
+    std::uint64_t downstreamReads = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false, dirty = false;
+        std::uint64_t lru = 0;
+    };
+    struct Interval
+    {
+        Cycle start, fill;
+    };
+
+    Line *
+    find(Addr la)
+    {
+        const std::size_t set = (la / cfg.lineBytes) % cfg.numSets();
+        for (std::uint32_t w = 0; w < cfg.ways; ++w) {
+            Line &l = lines[set * cfg.ways + w];
+            if (l.valid && l.tag == la)
+                return &l;
+        }
+        return nullptr;
+    }
+
+    Cycle
+    allocate(Addr la, bool dirty, Cycle issue)
+    {
+        const std::size_t set = (la / cfg.lineBytes) % cfg.numSets();
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < cfg.ways; ++w) {
+            Line &l = lines[set * cfg.ways + w];
+            if (!l.valid) {
+                victim = &l;
+                break;
+            }
+            if (!victim || l.lru < victim->lru)
+                victim = &l;
+        }
+        if (victim->valid) {
+            writebacks += victim->dirty ? 1 : 0;
+            pendingFills.erase(victim->tag);
+        }
+        ++downstreamReads;
+        const Cycle fill = issue + latency;
+        *victim = Line{la, true, dirty, ++clock};
+        pendingFills[la] = fill;
+        intervals.push_back({issue, fill});
+        return fill;
+    }
+
+    Cycle
+    acquireMshr(Cycle ready)
+    {
+        std::vector<Interval> keep;
+        for (const Interval &iv : intervals)
+            if (iv.fill > ready)
+                keep.push_back(iv);
+        const std::size_t cap = std::size_t{cfg.numMshrs} * 8;
+        if (keep.size() > cap)
+            keep.erase(keep.begin(), keep.end() - cap);
+        intervals = keep;
+        Cycle start = ready;
+        for (;;) {
+            std::uint32_t occupied = 0;
+            Cycle next_free = kCycleNever;
+            for (const Interval &iv : intervals) {
+                if (iv.start <= start && start < iv.fill) {
+                    ++occupied;
+                    next_free = std::min(next_free, iv.fill);
+                }
+            }
+            if (occupied < cfg.numMshrs)
+                return start;
+            ++mshrStall;
+            start = next_free;
+        }
+    }
+
+    CacheConfig cfg;
+    Cycle latency;
+    RateWindow port;
+    std::vector<Line> lines;
+    std::uint64_t clock = 0;
+    std::map<Addr, Cycle> pendingFills;
+    std::vector<Interval> intervals;
+};
+
+class CacheModelTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>>
+{};
+
+TEST_P(CacheModelTest, MatchesRescanModelOnOutOfOrderStreams)
+{
+    const std::uint64_t seed = std::get<0>(GetParam());
+    CacheConfig cfg = smallCache();
+    cfg.numMshrs = 2 + static_cast<std::uint32_t>(seed % 4);
+    cfg.prefetchNextLine = std::get<1>(GetParam());
+    const Cycle latency = 150 + seed % 200;
+    FakeMem mem(latency);
+    Cache c("t", cfg, 2, mem);
+    CacheModel model(cfg, 2, latency);
+
+    // 24 lines over 4 sets x 2 ways: hits, conflicts and refetches
+    // while fills are in flight. Timestamps drift forward with
+    // jitter both ways, so accesses arrive out of order, land inside
+    // each other's fills and pile up behind full MSHRs.
+    Rng rng(seed);
+    Cycle base = 1000;
+    for (int i = 0; i < 5000; ++i) {
+        base += rng.nextBounded(8);
+        const Cycle now = base - 1000 + rng.nextBounded(1200);
+        const Addr addr = rng.nextBounded(24) * 64 + rng.nextBounded(64);
+        const AccessType type = rng.nextBounded(4) == 0
+                                    ? AccessType::Write
+                                    : AccessType::Read;
+        ASSERT_EQ(c.access(addr, type, now), model.access(addr, type, now))
+            << "access " << i << " to " << addr << " at " << now;
+    }
+    EXPECT_EQ(c.stats().get("read_hit") + c.stats().get("write_hit"),
+              model.hits);
+    EXPECT_EQ(c.misses(), model.misses);
+    EXPECT_EQ(c.stats().get("hit_under_fill"), model.hitUnderFill);
+    EXPECT_EQ(c.stats().get("mshr_stall"), model.mshrStall);
+    EXPECT_EQ(c.stats().get("writeback"), model.writebacks);
+    EXPECT_EQ(c.stats().get("prefetch_issued"), model.prefetches);
+    EXPECT_EQ(mem.count - mem.writes, model.downstreamReads);
+    // The stream must exercise what it claims to check.
+    EXPECT_GT(model.mshrStall, 0u);
+    EXPECT_GT(model.hitUnderFill, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CacheModelTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
+                       ::testing::Bool()));
 
 /** Associativity sweep: with W ways, W conflicting lines fit. */
 class CacheWaysTest : public ::testing::TestWithParam<std::uint32_t>

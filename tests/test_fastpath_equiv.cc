@@ -1,12 +1,13 @@
 /**
  * @file
  * Bit-exactness harness for the simulator hot-path overhaul: every
- * optimization selected by GpuConfig::simFastPath (cache MSHR early
- * exits and last-hit filter, contiguous RateWindow storage, the
- * shader-core event loop's cached candidates, pooled flush counting)
- * must produce FrameStats, StatRegistry contents and figure-style CSV
+ * optimization selected by GpuConfig::simFastPath (cache last-hit
+ * filter, contiguous RateWindow storage, pooled flush counting) must
+ * produce FrameStats, StatRegistry contents and figure-style CSV
  * output identical to the original reference implementations, across
- * workloads, machine configurations and multi-frame sessions.
+ * workloads, machine configurations and multi-frame sessions. (The
+ * shader-core event loop and the cache MSHR walk have one
+ * implementation, which both settings run.)
  */
 
 #include <gtest/gtest.h>
@@ -136,8 +137,8 @@ TEST(FastPathEquiv, Extensions)
 
 TEST(FastPathEquiv, GreedyScheduler)
 {
-    // Greedy keeps issuing the last-issued warp: the cached-candidate
-    // loop must preserve lastIssued identically.
+    // Greedy keeps issuing the last-issued warp, so it exercises the
+    // scheduler's lastIssued state under both settings.
     GpuConfig cfg = smallCfg();
     cfg.warpScheduler = WarpSched::Greedy;
     fastMatchesReference(cfg, "Mze");

@@ -167,5 +167,87 @@ TEST(IntervalResource, ClearResets)
     EXPECT_EQ(res.reserve(0, 10), 0u);
 }
 
+TEST(IntervalResource, DroppedHistoryNoLongerBlocks)
+{
+    // The resource keeps at most 64 intervals before a reservation,
+    // dropping the earliest-starting ones: after 66 back-to-back
+    // 10-cycle slots from 0, [0,10) and [10,20) are gone, so a late
+    // request for cycle 0 gets it.
+    IntervalResource res;
+    for (Cycle i = 0; i < 66; ++i)
+        ASSERT_EQ(res.reserve(i * 10, 10), i * 10);
+    EXPECT_EQ(res.reserve(0, 10), 0u);
+}
+
+/**
+ * Brute-force model of IntervalResource: the same 64-entry history
+ * bound, and first fit found by trying every candidate start — the
+ * request cycle and every recorded end after it — in increasing order
+ * against every recorded interval.
+ */
+class IntervalModel
+{
+  public:
+    Cycle
+    reserve(Cycle now, Cycle duration)
+    {
+        while (busy.size() > 64) {
+            busy.erase(std::min_element(
+                busy.begin(), busy.end(),
+                [](const Iv &a, const Iv &b) { return a.s < b.s; }));
+        }
+        std::vector<Cycle> cands{now};
+        for (const Iv &iv : busy)
+            if (iv.e > now)
+                cands.push_back(iv.e);
+        std::sort(cands.begin(), cands.end());
+        for (Cycle t : cands) {
+            bool overlaps = false;
+            for (const Iv &iv : busy)
+                overlaps |= iv.s < t + duration && t < iv.e;
+            if (!overlaps) {
+                busy.push_back({t, t + duration});
+                return t;
+            }
+        }
+        ADD_FAILURE() << "no candidate fits";
+        return now;
+    }
+
+  private:
+    struct Iv
+    {
+        Cycle s, e;
+    };
+    std::vector<Iv> busy;
+};
+
+class IntervalResourceRandomTest
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(IntervalResourceRandomTest, MatchesFirstFitModel)
+{
+    // Out-of-order request stream: a drifting base with jitter both
+    // ways, long enough that the 64-entry drop fires hundreds of
+    // times, and gaps narrow enough that first fit lands both in gaps
+    // and after chains.
+    Rng rng(GetParam());
+    IntervalResource res;
+    IntervalModel model;
+    Cycle base = 200;
+    for (int i = 0; i < 2000; ++i) {
+        base += rng.nextBounded(12);
+        const Cycle now = base - 200 + rng.nextBounded(260);
+        const Cycle duration = 1 + rng.nextBounded(16);
+        ASSERT_EQ(res.reserve(now, duration),
+                  model.reserve(now, duration))
+            << "request " << i << " at " << now << " for " << duration;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntervalResourceRandomTest,
+                         ::testing::Values(1u, 7u, 13u, 29u));
+
 } // namespace
 } // namespace dtexl

@@ -18,11 +18,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -338,8 +340,9 @@ TEST(JobTableTest, TerminalStates)
 class TestClient
 {
   public:
-    static std::string
-    rpc(const std::string &socketPath, const std::string &request)
+    /** Connected socket to the daemon, or -1. */
+    static int
+    connect(const std::string &socketPath)
     {
         const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         EXPECT_GE(fd, 0);
@@ -350,8 +353,17 @@ class TestClient
         if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) != 0) {
             ::close(fd);
-            return "";
+            return -1;
         }
+        return fd;
+    }
+
+    static std::string
+    rpc(const std::string &socketPath, const std::string &request)
+    {
+        const int fd = connect(socketPath);
+        if (fd < 0)
+            return "";
         std::string line = request;
         line += '\n';
         EXPECT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
@@ -385,7 +397,10 @@ class DaemonFixture
         cfg_.baseCfg.screenHeight = 128;
         cfg_.baseCfg.validate();
         daemon_ = std::make_unique<Daemon>(cfg_);
-        thread_ = std::thread([this] { exitCode_ = daemon_->run(); });
+        thread_ = std::thread([this] {
+            exitCode_ = daemon_->run();
+            exited_.store(true);
+        });
         waitReady();
     }
 
@@ -448,8 +463,21 @@ class DaemonFixture
             thread_.join();
     }
 
+    /** Wait up to @p timeoutMs for run() to return. */
+    bool
+    waitExited(int timeoutMs)
+    {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(timeoutMs);
+        while (!exited_.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return exited_.load();
+    }
+
     int exitCode() const { return exitCode_; }
     const std::string &stateDir() const { return tmp_.path(); }
+    const std::string &socketPath() const { return cfg_.socketPath; }
 
   private:
     void
@@ -469,6 +497,7 @@ class DaemonFixture
     std::unique_ptr<Daemon> daemon_;
     std::thread thread_;
     int exitCode_ = -1;
+    std::atomic<bool> exited_{false};
 };
 
 TEST(ServeDaemon, SubmitRunsToDoneAndReportsStatus)
@@ -660,6 +689,51 @@ TEST(ServeDaemon, RestartRecoversJournaledJobs)
     // Settled: a further restart owes nothing.
     EXPECT_TRUE(
         JobJournal::loadPending(tmp.path() + "/jobs.journal").empty());
+}
+
+TEST(ServeDaemon, DrainUnblocksConnectionsHeldOpen)
+{
+    // Idle connections held open through a drain must not stop the
+    // daemon from exiting. Each round closes a short connection and
+    // at once opens an idle one, which may get the fd number just
+    // freed on the daemon side: a connection thread that closed its
+    // fd before deregistering it by number dropped such a newcomer
+    // from the drain's SHUT_RD list, and its reader blocked forever.
+    // That window is narrow, so several daemons each see hundreds of
+    // such rounds from concurrent clients.
+    for (int trial = 0; trial < 8; ++trial) {
+        DaemonFixture d;
+        std::mutex mu;
+        std::vector<int> idle;
+        std::vector<std::thread> clients;
+        for (int t = 0; t < 8; ++t) {
+            clients.emplace_back([&] {
+                for (int round = 0; round < 60; ++round) {
+                    TestClient::rpc(d.socketPath(), R"({"cmd":"ping"})");
+                    const int fd = TestClient::connect(d.socketPath());
+                    std::lock_guard<std::mutex> lk(mu);
+                    if (fd >= 0)
+                        idle.push_back(fd);
+                }
+            });
+        }
+        for (std::thread &t : clients)
+            t.join();
+        EXPECT_EQ(idle.size(), 480u);
+
+        EXPECT_TRUE(d.rpcJson(R"({"cmd":"drain"})").flag("drained"));
+        // A healthy drain takes milliseconds; the wait only bounds a
+        // hang.
+        const bool exited = d.waitExited(10000);
+        // Hanging up unblocks a stuck reader, so the daemon thread can
+        // be joined either way.
+        for (int fd : idle)
+            ::close(fd);
+        d.join();
+        ASSERT_TRUE(exited)
+            << "trial " << trial << ": drain hung on a connection held open";
+        EXPECT_EQ(d.exitCode(), 0);
+    }
 }
 
 TEST(ServeDaemon, SignalDrainExitsInterrupted)

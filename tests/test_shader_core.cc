@@ -309,6 +309,55 @@ TEST(ShaderCore, GreedyKeepsIssuingSameWarp)
                 static_cast<double>(re.finish) * 0.2);
 }
 
+/** ALU-only primitive with @p alu dependent ops, for schedule tests. */
+Primitive
+aluPrim(std::uint16_t alu)
+{
+    Primitive p;
+    p.shader.aluOps = alu;
+    p.shader.texSamples = 0;
+    return p;
+}
+
+TEST_P(WarpSchedTest, EqualReadyCyclesPickLowerBatchIndex)
+{
+    // Two warp slots. Quad 0 (3 ALU ops) holds slot 0 while quad 1
+    // (1 op) retires at its first issue, so quad 2 takes slot 1; then
+    // quad 0 retires and quad 3 takes slot 0. Quads 2 and 3 are both
+    // ready at 1000 with slot order opposite to batch order: the
+    // lower batch index (quad 2, slot 1) must issue first.
+    CoreFixture f(/*alu=*/1, /*tex=*/0, /*max_warps=*/2);
+    f.cfg.warpScheduler = GetParam();
+    const Primitive long_prim = aluPrim(3);
+    ShaderCore core(0, f.cfg, f.mem, f.scene);
+    const auto quads = f.makeQuads(4);
+    f.quad_store[0].prim = &long_prim;
+    const auto r = core.runBatch(quads, {0, 0, 1000, 1000}, 0);
+    const Cycle alu = ShaderCore::kAluLatency;
+    EXPECT_EQ(r.completion, (std::vector<Cycle>{
+                                8 + alu, 1 + alu, 1000 + alu,
+                                1001 + alu}));
+    EXPECT_EQ(r.issues, 6u);
+}
+
+TEST_P(WarpSchedTest, FreedSlotIsNeverPicked)
+{
+    // Quad 0 retires at its first issue and nothing refills its slot,
+    // which keeps the lowest batch index and the earliest ready cycle
+    // it ever had; quad 1 must still issue all six ops back to back.
+    CoreFixture f(/*alu=*/1, /*tex=*/0, /*max_warps=*/4);
+    f.cfg.warpScheduler = GetParam();
+    const Primitive long_prim = aluPrim(6);
+    ShaderCore core(0, f.cfg, f.mem, f.scene);
+    const auto quads = f.makeQuads(2);
+    f.quad_store[1].prim = &long_prim;
+    const auto r = core.runBatch(quads, {0, 0}, 0);
+    const Cycle alu = ShaderCore::kAluLatency;
+    EXPECT_EQ(r.completion, (std::vector<Cycle>{alu, 1 + 6 * alu}));
+    EXPECT_EQ(r.issues, 7u);
+    EXPECT_EQ(core.stats().get("alu_ops"), 7u);
+}
+
 TEST(ShaderCore, PartialCoverageSamplesFewerFragments)
 {
     CoreFixture f(/*alu=*/0, /*tex=*/1);
