@@ -140,7 +140,7 @@ BenchOptions::baseline() const
     cfg.screenWidth = width;
     cfg.screenHeight = height;
     cfg.simFastPath = fastPath;
-    common.applyThreadKnobs(cfg);
+    common.applyRunOptions(cfg);
     return cfg;
 }
 
@@ -151,7 +151,7 @@ BenchOptions::dtexl() const
     cfg.screenWidth = width;
     cfg.screenHeight = height;
     cfg.simFastPath = fastPath;
-    common.applyThreadKnobs(cfg);
+    common.applyRunOptions(cfg);
     return cfg;
 }
 
@@ -162,7 +162,7 @@ BenchOptions::upperBound() const
     cfg.screenWidth = width;
     cfg.screenHeight = height;
     cfg.simFastPath = fastPath;
-    common.applyThreadKnobs(cfg);
+    common.applyRunOptions(cfg);
     return cfg;
 }
 

@@ -45,9 +45,8 @@ struct BenchOptions
      */
     bool fastPath = true;
     /**
-     * The shared flags as parsed (--geom-threads in particular);
-     * baseline()/dtexl()/upperBound() resolve them into each config,
-     * including the jobs x geom-threads oversubscription clamp.
+     * The shared flags as parsed; baseline()/dtexl()/upperBound()
+     * apply the run-level ones (cache, --simd, ledger) to each config.
      */
     CommonCliOptions common;
 

@@ -151,7 +151,7 @@ dtexldMain(int argc, char **argv)
     }
 
     // Arms the cache and emits run_start with the base config digest.
-    common.applyThreadKnobs(cfg);
+    common.applyRunOptions(cfg);
     cfg.validate();
     dc.baseCfg = cfg;
 

@@ -8,8 +8,7 @@
  *
  * Usage:
  *   sim_cli [--bench=GTr[,CCS,...] | --scene=file.dscene] [--frames=N]
- *           [--jobs=N] [--geom-threads=N] [--raster-threads=N|auto]
- *           [--trace=trace.json] [--stats]
+ *           [--jobs=N] [--trace=trace.json] [--stats]
  *           [--stats-json=stats.json] [--timeline-csv=timeline.csv]
  *           [--save-scene=file.dscene] [--preset=baseline|dtexl]
  *           [--reference-path] [--cache-dir=DIR] [--cache=MODE]
@@ -130,7 +129,7 @@ simCliMain(int argc, char **argv)
     for (const auto &[k, v] : options)
         applyConfigOption(cfg, k, v);
     cfg.simFastPath = cfg.simFastPath && common.fastPath;
-    common.applyThreadKnobs(cfg);
+    common.applyRunOptions(cfg);
     cfg.validate();
 
     std::printf("%s\n", cfg.describe().c_str());
@@ -222,14 +221,6 @@ simCliMain(int argc, char **argv)
                     static_cast<unsigned long long>(sim_cycles),
                     r.wallMs, mcps,
                     r.cacheHit ? " (cached)" : "");
-        // Per-domain wall breakdown of the partitioned raster loop
-        // (raster-threads > 1 only); scripts/run_perf.py parses it.
-        if (!r.domainWallMs.empty()) {
-            std::printf("%s domains:", r.label.c_str());
-            for (std::size_t d = 0; d < r.domainWallMs.size(); ++d)
-                std::printf(" d%zu=%.3fms", d, r.domainWallMs[d]);
-            std::printf("\n");
-        }
     }
     // Batch-level cache summary: hit rate over this batch's jobs, and
     // the process-cumulative counters published into the registry so

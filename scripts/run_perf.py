@@ -16,10 +16,7 @@ reference implementations (fastpath=0) — and records, per benchmark:
   * the wall-time overhead of the run-event ledger (--events
     --progress) relative to the plain fast path, gated at the same
     budget; the ledger must terminate in run_end and must not change
-    any simulated statistic,
-  * an informational --raster-threads=auto run (per-domain wall
-    breakdown and speedup vs the serial raster loop); the regression
-    gate stays pinned to the serial (raster-threads=1) numbers.
+    any simulated statistic.
 
 Before the simulator benches it runs bench/micro_simd — the SIMD lane
 kernels against their scalar twins — and fails if the geometric mean
@@ -83,12 +80,10 @@ SUMMARY_RE = re.compile(
     r"(?P<mcps>[0-9.]+) Mcycles/s$"
 )
 FRAME_RE = re.compile(r"^\S+ frame \d+: ")
-DOMAIN_RE = re.compile(r"d\d+=(?P<ms>[0-9.]+)ms")
 
 
 def run_sim(sim_cli, alias, frames, width, height, fastpath,
-            telemetry=0, phases=False, raster_threads=None,
-            events=False):
+            telemetry=0, phases=False, events=False):
     cmd = [
         str(sim_cli),
         f"--bench={alias}",
@@ -103,8 +98,6 @@ def run_sim(sim_cli, alias, frames, width, height, fastpath,
         # EXPERIMENTS.md "Result cache & perf methodology").
         "--cache=off",
     ]
-    if raster_threads is not None:
-        cmd.append(f"--raster-threads={raster_threads}")
     events_path = None
     if events:
         fd, events_path = tempfile.mkstemp(suffix=".jsonl",
@@ -123,24 +116,18 @@ def run_sim(sim_cli, alias, frames, width, height, fastpath,
         )
         summary = None
         frame_lines = []
-        domain_wall_ms = []
         for line in proc.stdout.splitlines():
             m = SUMMARY_RE.match(line)
             if m:
                 summary = m
             elif FRAME_RE.match(line):
                 frame_lines.append(line)
-            elif " domains: " in line:
-                domain_wall_ms = [
-                    float(d["ms"]) for d in DOMAIN_RE.finditer(line)
-                ]
         if summary is None:
             sys.exit(f"no summary line in sim_cli output:\n{proc.stdout}")
         result = {
             "cycles": int(summary["cycles"]),
             "wall_ms": float(summary["wall"]),
             "frame_lines": frame_lines,
-            "domain_wall_ms": domain_wall_ms,
         }
         if phases:
             result["phase_wall_ms"] = phase_breakdown(stats_path)
@@ -181,12 +168,11 @@ def phase_breakdown(stats_path):
 
 
 def best_of(sim_cli, alias, frames, width, height, fastpath, repeat,
-            telemetry=0, phases=False, raster_threads=None):
+            telemetry=0, phases=False):
     best = None
     for _ in range(repeat):
         r = run_sim(sim_cli, alias, frames, width, height, fastpath,
-                    telemetry, phases=phases,
-                    raster_threads=raster_threads)
+                    telemetry, phases=phases)
         if best is None or r["wall_ms"] < best["wall_ms"]:
             if best is not None and r["frame_lines"] != best["frame_lines"]:
                 sys.exit(f"{alias}: non-deterministic frame stats "
@@ -416,21 +402,6 @@ def main():
                                       args.width, args.height,
                                       args.repeat, fast["frame_lines"])
 
-        # Informational multi-threaded run (--raster-threads=auto):
-        # never part of the regression gate, which stays pinned to the
-        # serial raster loop above so domain-count scheduling noise
-        # cannot mask (or fake) a hot-path regression. Doubles as an
-        # end-to-end invariance check: the partitioned loop must print
-        # byte-identical per-frame statistics. On hosts without spare
-        # cores the CLI clamp degrades it to the serial loop and no
-        # per-domain breakdown is recorded.
-        mt = best_of(sim_cli, alias, args.frames, args.width,
-                     args.height, 1, args.repeat, raster_threads="auto")
-        if mt["frame_lines"] != fast["frame_lines"]:
-            print("SERIAL:\n" + "\n".join(fast["frame_lines"]))
-            print("THREADED:\n" + "\n".join(mt["frame_lines"]))
-            sys.exit(f"{alias}: raster-threads=auto statistics diverge")
-
         speedup = ref["wall_ms"] / fast["wall_ms"]
         entry = {
             "alias": alias,
@@ -445,16 +416,6 @@ def main():
             "events_overhead": ev_overhead,
             "stats_bit_identical": True,
             "phase_wall_ms": fast["phase_wall_ms"],
-            "mt": {
-                "raster_threads": "auto",
-                "wall_ms": mt["wall_ms"],
-                "mcycles_per_s": mt["cycles"] / mt["wall_ms"] / 1e3,
-                "speedup_vs_serial": fast["wall_ms"] / mt["wall_ms"],
-                "domain_wall_ms": mt["domain_wall_ms"],
-                "note": "" if mt["domain_wall_ms"] else
-                        "host lacks spare cores; clamp ran the "
-                        "serial raster loop",
-            },
         }
         benches.append(entry)
         print(f"   fast {fast['wall_ms']:9.1f} ms "
@@ -462,9 +423,7 @@ def main():
               f"ref {ref['wall_ms']:9.1f} ms | "
               f"speedup {speedup:.2f}x | "
               f"telemetry {overhead:.3f}x | "
-              f"events {ev_overhead:.3f}x | "
-              f"mt {entry['mt']['speedup_vs_serial']:.2f}x "
-              f"({len(mt['domain_wall_ms'])} domains)", flush=True)
+              f"events {ev_overhead:.3f}x", flush=True)
 
     if not benches:
         sys.exit("no benchmarks selected")

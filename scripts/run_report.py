@@ -25,8 +25,7 @@ violation):
 --canon prints a canonical form for cross-run comparison: volatile
 fields (seq, timestamps, wall times, worker ids, argv/host metadata)
 are stripped and the remaining lines sorted, so two ledgers of the
-same sweep compare equal for ANY --jobs / --geom-threads /
---raster-threads values:
+same sweep compare equal for ANY --jobs value:
 
   diff <(run_report.py a.jsonl --canon) <(run_report.py b.jsonl --canon)
 

@@ -48,8 +48,7 @@ struct ResultKey
  *
  *   simFastPath, CacheConfig::fastPath, DramConfig::fastPath
  *       (tests/test_fastpath_equiv.cc),
- *   geomThreads (tests/test_parallel_geom.cc),
- *   rasterThreads (tests/test_raster_domains.cc),
+ *   geomThreads, rasterThreads (inert; validate() pins both to 1),
  *   simdMode (tests/test_simd.cc),
  *   watchdogCycles (a hang guard; never changes a completed result).
  *

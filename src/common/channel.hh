@@ -1,43 +1,19 @@
 /**
  * @file
- * Cross-domain communication primitives for the partitioned raster
- * event loop (core/exec_domain.hh):
- *
- *  - Channel<T>: a small bounded blocking channel. Execution domains
- *    hand their per-tile outcomes (batch results, stat deltas) back to
- *    the coordinating thread through one, which commits them in domain
- *    order so the merge is deterministic regardless of which domain
- *    finishes first.
- *  - DomainMerge: the conservative cycle-ordered commit protocol for
- *    the *shared* memory levels (L2/DRAM). Each domain publishes the
- *    key of the event it is about to execute; an access to a shared
- *    level may proceed only when the domain's published key is the
- *    global minimum over all unfinished domains. Keys are globally
- *    unique (cycle plus core index), so exactly one domain is eligible
- *    at any instant and the shared levels observe their accesses in
- *    exactly the serial event-loop order — which is what makes the
- *    partitioned loop bit-identical to the single-threaded one (see
- *    DESIGN.md "Threading model").
- *
- * This header lives in common/ (not core/) because the memory
- * hierarchy's gate endpoints (mem/hierarchy.hh) need DomainMerge and
- * mem must not depend on core.
+ * Channel<T>: a small bounded blocking channel for handing work and
+ * events between host threads (the dtexld job queue, the event bus's
+ * collector thread).
  */
 
 #ifndef DTEXL_COMMON_CHANNEL_HH
 #define DTEXL_COMMON_CHANNEL_HH
 
-#include <array>
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
-
-#include "common/types.hh"
 
 namespace dtexl {
 
@@ -46,9 +22,9 @@ namespace dtexl {
  *
  * push() blocks while the channel holds @c capacity items; pop()
  * blocks until an item arrives or the channel is closed and drained
- * (then returns nullopt). Not on the per-event hot path — domains use
- * it once per tile — so a mutex + condition variable is the right
- * tool: simple, fair and ThreadSanitizer-clean.
+ * (then returns nullopt). Not on any per-event hot path, so a
+ * mutex + condition variable is the right tool: simple, fair and
+ * ThreadSanitizer-clean.
  */
 template <typename T>
 class Channel
@@ -147,146 +123,6 @@ class Channel
     std::condition_variable notEmpty;
     std::deque<T> q;
     bool closed = false;
-};
-
-/**
- * Conservative cycle-ordered merge for partitioned event loops.
- *
- * The serial shader-core event loop executes instruction issues in
- * strictly increasing (cycle, core index) order, and the *only*
- * cross-core coupling is the order in which their misses reach the
- * shared L2/DRAM (core/shader_core.cc). When the cores are partitioned
- * into domains that each run their own event loop, every domain's
- * event keys still increase monotonically, so enforcing "a domain may
- * touch a shared level only while it holds the globally minimal
- * published key" reproduces the serial access order exactly — a
- * distributed merge with no separate merge thread.
- *
- * Protocol per domain:
- *  1. publish(domain, key) with the event's key *before* executing it
- *     (release: everything written while executing earlier keys is
- *     visible to whoever observes this horizon).
- *  2. Shared-level endpoints (MemHierarchy's per-pipe L2 gates) call
- *     awaitTurn(domain) before forwarding, which spins until every
- *     other domain's horizon is past this domain's key.
- *  3. finish(domain) — or ScopedDomain's unwind — publishes the
- *     maximal key so sibling domains never wait on a completed (or
- *     thrown-through) domain.
- *
- * Keys are unique across domains because the core index occupies the
- * low bits and each core belongs to exactly one domain, so there are
- * no ties and the minimum is always strict: exactly one domain is
- * eligible at a time, and eligibility is stable (horizons only grow).
- */
-class DomainMerge
-{
-  public:
-    /** Domains fit the pipe count; 4 is the architectural maximum. */
-    static constexpr std::uint32_t kMaxDomains = 4;
-    static constexpr std::uint64_t kDoneKey = ~std::uint64_t{0};
-
-    /**
-     * Pack an event into a totally ordered key. The cycle saturates at
-     * 2^61 - 1 so the shift cannot overflow even for events parked at
-     * the fault-injection sentinel (2^62); saturated keys stay unique
-     * across domains through the core-index bits, which is all the
-     * protocol needs (a faulted run is heading into the watchdog
-     * anyway).
-     */
-    static std::uint64_t
-    packKey(Cycle cycle, std::uint32_t coreIndex)
-    {
-        constexpr Cycle kMaxCycle = (Cycle{1} << 61) - 1;
-        const Cycle c = cycle < kMaxCycle ? cycle : kMaxCycle;
-        return (static_cast<std::uint64_t>(c) << 2) |
-               (coreIndex & 0x3u);
-    }
-
-    /** Arm the protocol for @p numDomains domains, horizons at 0. */
-    void
-    reset(std::uint32_t numDomains)
-    {
-        n = numDomains;
-        for (auto &s : slots)
-            s.horizon.store(0, std::memory_order_relaxed);
-    }
-
-    /** Publish the key of the event @p domain executes next. */
-    void
-    publish(std::uint32_t domain, std::uint64_t key)
-    {
-        slots[domain].horizon.store(key, std::memory_order_release);
-    }
-
-    /** Domain completed (or is unwinding): never block siblings. */
-    void
-    finish(std::uint32_t domain)
-    {
-        publish(domain, kDoneKey);
-    }
-
-    /**
-     * Block until @p domain's published key is the strict global
-     * minimum, i.e. its pending shared-level accesses are next in
-     * serial order. The globally minimal domain never waits, so the
-     * protocol cannot deadlock as long as every domain eventually
-     * publishes a larger key or finishes.
-     */
-    void
-    awaitTurn(std::uint32_t domain) const
-    {
-        const std::uint64_t key =
-            slots[domain].horizon.load(std::memory_order_relaxed);
-        for (std::uint32_t d = 0; d < n; ++d) {
-            if (d == domain)
-                continue;
-            while (slots[d].horizon.load(std::memory_order_acquire) <
-                   key) {
-                std::this_thread::yield();
-            }
-        }
-    }
-
-    std::uint32_t numDomains() const { return n; }
-
-    /** RAII: finish() on scope exit, including exception unwind. */
-    class ScopedDomain
-    {
-      public:
-        ScopedDomain(DomainMerge &m, std::uint32_t domain)
-            : merge(m), dom(domain)
-        {}
-        ~ScopedDomain() { merge.finish(dom); }
-        ScopedDomain(const ScopedDomain &) = delete;
-        ScopedDomain &operator=(const ScopedDomain &) = delete;
-
-      private:
-        DomainMerge &merge;
-        std::uint32_t dom;
-    };
-
-  private:
-    /** Own cache line per horizon: domains spin on each other's. */
-    struct alignas(64) Slot
-    {
-        std::atomic<std::uint64_t> horizon{0};
-    };
-    std::array<Slot, kMaxDomains> slots;
-    std::uint32_t n = 0;
-};
-
-/**
- * One domain's view of the merge: which domain it is and where its
- * core slice starts in the global core numbering (for key packing).
- * Passed into the shader-core event loop; null means serial execution
- * with no merge protocol at all.
- */
-struct MergeHook
-{
-    DomainMerge *merge = nullptr;
-    std::uint32_t domain = 0;
-    /** Global index of the domain's first core (contiguous slice). */
-    std::uint32_t coreOffset = 0;
 };
 
 } // namespace dtexl

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <sstream>
-#include <thread>
 
 #include "common/log.hh"
 #include "common/sim_error.hh"
@@ -100,23 +99,6 @@ GpuConfig::describe() const
     return os.str();
 }
 
-std::uint32_t
-GpuConfig::resolvedGeomThreads() const
-{
-    if (geomThreads != 0)
-        return geomThreads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-std::uint32_t
-GpuConfig::resolvedRasterThreads() const
-{
-    const std::uint32_t want =
-        rasterThreads == 0 ? numPipelines : rasterThreads;
-    return want < numPipelines ? want : numPipelines;
-}
-
 void
 GpuConfig::validate() const
 {
@@ -187,14 +169,12 @@ GpuConfig::validate() const
             "telemetry level %u: must be 0, 1 or 2", telemetryLevel);
     if (telemetryLevel >= 2 && telemetrySamplePeriod == 0)
         throwConfigError("sample_cycles must be >= 1");
-    if (geomThreads > 256)
-        throwConfigError(
-            "geom_threads %u: must be in [0, 256] (0 = auto)",
-            geomThreads);
-    if (rasterThreads > 256)
-        throwConfigError(
-            "raster_threads %u: must be in [0, 256] (0 = auto, "
-            "clamped to numPipelines)", rasterThreads);
+    if (geomThreads != 1)
+        throwUserError("geomThreads %u: must be 1 (every simulation "
+                       "runs on one host thread)", geomThreads);
+    if (rasterThreads != 1)
+        throwUserError("rasterThreads %u: must be 1 (every simulation "
+                       "runs on one host thread)", rasterThreads);
 }
 
 GpuConfig
@@ -363,10 +343,6 @@ applyConfigOption(GpuConfig &cfg, const std::string &key,
         cfg.telemetryLevel = parseUint(key, value);
     } else if (key == "sample_cycles") {
         cfg.telemetrySamplePeriod = parseUint(key, value);
-    } else if (key == "geom_threads") {
-        cfg.geomThreads = parseUint(key, value);
-    } else if (key == "raster_threads") {
-        cfg.rasterThreads = parseUint(key, value);
     } else if (key == "simd") {
         cfg.simdMode = simdModeFromString(value);
     } else if (key == "watchdog_cycles") {

@@ -129,47 +129,13 @@ struct GpuConfig
      */
     std::uint32_t telemetrySamplePeriod = 8192;
     /**
-     * Host worker threads for the geometry/tiling front-end (simulator
-     * infrastructure, not modelled hardware): the functional per-draw
-     * work — vertex transforms, assembly culling, LOD, tile-overlap
-     * tests — fans out across this many threads, then a serial replay
-     * applies the timed memory accesses in submission order, so
-     * results are bit-identical for every value (enforced by
-     * tests/test_parallel_geom.cc). 0 = auto (hardware concurrency,
-     * the default), 1 = the original serial path. Set with the
-     * `geom_threads` key or `--geom-threads` on the CLIs; the CLIs
-     * clamp jobs x geom-threads oversubscription
-     * (CommonCliOptions::applyThreadKnobs()).
+     * Inert: every simulation runs on one host thread. Both members
+     * exist only because perfbench/driver/main.cc still assigns them;
+     * validate() rejects any value but 1, hashConfig() excludes them,
+     * and a later change to the benchmark deletes them.
      */
-    std::uint32_t geomThreads = 0;
-
-    /** geomThreads with 0 resolved to the host's hardware concurrency. */
-    std::uint32_t resolvedGeomThreads() const;
-
-    /**
-     * Host execution domains for the timed raster event loop
-     * (simulator infrastructure, not modelled hardware): the post-
-     * raster pipelines (subtile bank + shader core + private L1) are
-     * partitioned into this many execution domains, each running its
-     * own slice of the fragment-stage event loop on a worker thread,
-     * with accesses to the shared L2/DRAM committed in cycle order by
-     * a conservative merge protocol (common/channel.hh,
-     * core/exec_domain.hh) — so FrameStats, the image hash and every
-     * registry counter are bit-identical for every value (enforced by
-     * tests/test_raster_domains.cc). 1 = the original serial loop
-     * (default), 0 = auto (one domain per pipeline/bank); values above
-     * numPipelines clamp to it. Set with the `raster_threads` key or
-     * `--raster-threads` on the CLIs; the CLIs clamp the full
-     * jobs x geom-threads x raster-threads oversubscription
-     * (CommonCliOptions::applyThreadKnobs()).
-     */
+    std::uint32_t geomThreads = 1;
     std::uint32_t rasterThreads = 1;
-
-    /**
-     * rasterThreads with 0 resolved to one domain per pipeline and any
-     * value clamped to numPipelines (a domain owns at least one pipe).
-     */
-    std::uint32_t resolvedRasterThreads() const;
 
     /**
      * Host SIMD dispatch for the vectorized raster/texture kernels
@@ -178,10 +144,9 @@ struct GpuConfig
      * whatever the DTEXL_SIMD environment variable selects — runs the
      * lane implementations; Scalar runs the original serial code.
      * FrameStats, image hashes and every registry counter are
-     * bit-identical either way (tests/test_simd.cc), so like the
-     * thread knobs above this is excluded from the result-cache config
-     * digest. Set with the `simd` key or `--simd=auto|scalar` on the
-     * CLIs.
+     * bit-identical either way (tests/test_simd.cc), so this is
+     * excluded from the result-cache config digest. Set with the
+     * `simd` key or `--simd=auto|scalar` on the CLIs.
      */
     SimdMode simdMode = defaultSimdMode();
 
@@ -243,8 +208,8 @@ GpuConfig makeUpperBoundConfig();
  * Apply a textual "key=value" option to a configuration (the CLI
  * driver's interface). Supported keys: grouping, order, assignment,
  * decoupled, hiz, warps, fifo, width, height, tile, l1tex_kib,
- * l2_kib, fastpath, telemetry, sample_cycles, geom_threads,
- * raster_threads, watchdog_cycles, simd. Throws SimError{UserInput}
+ * l2_kib, fastpath, telemetry, sample_cycles, watchdog_cycles,
+ * simd. Throws SimError{UserInput}
  * on unknown keys or bad values.
  */
 void applyConfigOption(GpuConfig &cfg, const std::string &key,

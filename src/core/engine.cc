@@ -295,9 +295,6 @@ runJob(const BatchJob &job, StatRegistry *registry,
                                  "frame %u", f);
             }
             res.frames = session.history();
-            if (const ExecDomainSet *doms =
-                    session.gpu().rasterPipeline().execDomains())
-                res.domainWallMs = doms->domainWallMs();
 
             if (keyed && rc.writeEnabled()) {
                 CachedResult out;
@@ -318,32 +315,15 @@ runJob(const BatchJob &job, StatRegistry *registry,
         res.error = e.describe();
         if (!e.dump().empty())
             res.crashReportPath = writeCrashReport(job.label, e);
-        if (EventBus::armed()) {
-            if (e.kind() == ErrorKind::Watchdog) {
-                RunEvent wd(EventKind::Watchdog, job.label);
-                wd.str("error", e.what());
-                EventBus::global().emit(std::move(wd));
-            }
-            RunEvent ev(EventKind::JobError, job.label);
-            ev.str("kind", toString(e.kind())).str("error", res.error);
-            if (!res.crashReportPath.empty())
-                ev.str("crash_report", res.crashReportPath);
-            EventBus::global().emit(std::move(ev));
+        if (EventBus::armed() && e.kind() == ErrorKind::Watchdog) {
+            RunEvent wd(EventKind::Watchdog, job.label);
+            wd.str("error", e.what());
+            EventBus::global().emit(std::move(wd));
         }
-        // Failure artifacts must not wait for a clean process exit;
-        // the events flush hook drains job_error onto disk here.
-        flushFailureArtifacts();
     } catch (const std::exception &e) {
         res.ok = false;
         res.errorKind = ErrorKind::Internal;
         res.error = std::string("internal: ") + e.what();
-        if (EventBus::armed()) {
-            RunEvent ev(EventKind::JobError, job.label);
-            ev.str("kind", toString(ErrorKind::Internal))
-                .str("error", res.error);
-            EventBus::global().emit(std::move(ev));
-        }
-        flushFailureArtifacts();
     }
 
     res.wallMs =
@@ -351,17 +331,6 @@ runJob(const BatchJob &job, StatRegistry *registry,
                                                          std::milli>>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    if (res.ok && EventBus::armed()) {
-        std::uint64_t cycles = 0;
-        for (const FrameStats &fs : res.frames)
-            cycles += fs.totalCycles;
-        RunEvent ev(EventKind::JobComplete, job.label);
-        ev.u64("frames", res.frames.size())
-            .u64("cycles", cycles)
-            .f64("wall_ms", res.wallMs)
-            .u64("cached", res.cacheHit ? 1 : 0);
-        EventBus::global().emit(std::move(ev));
-    }
     if (TraceWriter::global().enabled()) {
         TraceWriter::global().complete(job.label, "job", trace0,
                                        TraceWriter::nowMicros() - trace0);
@@ -402,6 +371,35 @@ runSingleJob(const BatchJob &job, StatRegistry *registry,
     return runJob(job, registry, worker);
 }
 
+void
+emitJobOutcome(const BatchResult &res)
+{
+    if (EventBus::armed()) {
+        if (res.ok) {
+            std::uint64_t cycles = 0;
+            for (const FrameStats &fs : res.frames)
+                cycles += fs.totalCycles;
+            RunEvent ev(EventKind::JobComplete, res.label);
+            ev.u64("frames", res.frames.size())
+                .u64("cycles", cycles)
+                .f64("wall_ms", res.wallMs)
+                .u64("cached", res.cacheHit ? 1 : 0);
+            EventBus::global().emit(std::move(ev));
+        } else {
+            RunEvent ev(EventKind::JobError, res.label);
+            ev.str("kind", toString(res.errorKind))
+                .str("error", res.error);
+            if (!res.crashReportPath.empty())
+                ev.str("crash_report", res.crashReportPath);
+            EventBus::global().emit(std::move(ev));
+        }
+    }
+    // Failure artifacts must not wait for a clean process exit; the
+    // events flush hook drains job_error onto disk here.
+    if (!res.ok)
+        flushFailureArtifacts();
+}
+
 std::vector<BatchResult>
 runBatch(const std::vector<BatchJob> &jobs, unsigned numWorkers,
          StatRegistry *registry)
@@ -431,12 +429,18 @@ runBatch(const std::vector<BatchJob> &jobs, unsigned numWorkers,
     if (workers > jobs.size())
         workers = static_cast<unsigned>(jobs.size());
 
-    if (workers == 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            results[i] = drainRequested()
-                             ? skippedResult(jobs[i], 0)
-                             : runJob(jobs[i], registry, 0);
+    auto runOne = [&](std::size_t i, std::uint32_t worker) {
+        if (drainRequested()) {
+            results[i] = skippedResult(jobs[i], worker);
+            return;
         }
+        results[i] = runJob(jobs[i], registry, worker);
+        emitJobOutcome(results[i]);
+    };
+
+    if (workers == 1) {
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            runOne(i, 0);
         reportCacheTraffic();
         return results;
     }
@@ -455,9 +459,7 @@ runBatch(const std::vector<BatchJob> &jobs, unsigned numWorkers,
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= jobs.size())
                     return;
-                results[i] = drainRequested()
-                                 ? skippedResult(jobs[i], w)
-                                 : runJob(jobs[i], registry, w);
+                runOne(i, w);
             }
         });
     }

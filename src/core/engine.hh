@@ -138,13 +138,6 @@ struct BatchResult
     std::vector<FrameStats> frames;
     /** Wall time of this job alone, milliseconds. */
     double wallMs = 0.0;
-    /**
-     * Cumulative wall time each raster execution domain spent inside
-     * the partitioned fragment-stage event loop, milliseconds. Empty
-     * when raster_threads resolves to 1 (the serial loop runs inline).
-     * Perf reporting only — never part of the simulated results.
-     */
-    std::vector<double> domainWallMs;
     /** Worker that ran the job (0-based; determinism debugging). */
     std::uint32_t worker = 0;
     /**
@@ -190,12 +183,21 @@ std::vector<BatchResult> runBatch(const std::vector<BatchJob> &jobs,
  * machinery — cache lookup, checkpoint resume, frame-boundary
  * cancel/deadline/drain checks, fault isolation, EventBus lifecycle —
  * but without the batch framing (no job_submit emission, no drain
- * handler installation, no batch cache summary). This is dtexld's
- * execution primitive: the daemon owns admission, retry and submission
- * events itself, so it must be able to run exactly one attempt.
+ * handler installation, no batch cache summary) and without the
+ * terminal event. This is dtexld's execution primitive: the daemon
+ * owns admission, retry and submission events itself, so it must be
+ * able to run exactly one attempt, and it publishes the attempt's
+ * outcome with emitJobOutcome() only after its job table records it.
  */
 BatchResult runSingleJob(const BatchJob &job, StatRegistry *registry,
                          std::uint32_t worker);
+
+/**
+ * Emit @p res's terminal ledger event — job_complete, or job_error
+ * (then flush the failure artifacts) — exactly as runBatch() does
+ * after each job.
+ */
+void emitJobOutcome(const BatchResult &res);
 
 /**
  * Exit code for a finished batch: kExitSuccess when every job

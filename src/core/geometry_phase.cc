@@ -3,8 +3,9 @@
 namespace dtexl {
 
 GeometryPhase::Result
-GeometryPhase::runSerial(const Scene &scene)
+GeometryPhase::run(const Scene &scene)
 {
+    pb.clear();
     VertexStage vstage(cfg, mem);
     PrimAssembler assembler(cfg);
     PolyListBuilder binner(cfg, mem, pb);
@@ -24,76 +25,6 @@ GeometryPhase::runSerial(const Scene &scene)
     r.vertices = vstage.verticesProcessed();
     r.primitives = pb.numPrimitives();
     return r;
-}
-
-GeometryPhase::Result
-GeometryPhase::runParallel(const Scene &scene, std::uint32_t threads)
-{
-    if (!pool || pool->size() != threads)
-        pool = std::make_unique<WorkerPool>(threads);
-
-    // Fan the pure per-draw work out: transforms, shade sequence,
-    // assembly, overlap tests. Each task owns work[d] exclusively and
-    // reads only immutable state (cfg, scene), so the outputs are
-    // independent of scheduling.
-    const std::size_t n_draws = scene.draws.size();
-    work.resize(n_draws);
-    pool->parallelFor(n_draws, [&](std::size_t d) {
-        const DrawCommand &draw = scene.draws[d];
-        DrawWork &w = work[d];
-
-        VertexStage::shadeSequence(draw, w.shadeOrder, w.reuse);
-        w.transformed.clear();
-        w.transformed.resize(draw.vertices.size());
-        for (std::uint32_t i : w.shadeOrder)
-            w.transformed[i] = VertexStage::transformVertex(cfg, draw, i);
-
-        // Thread-local assembler: its primitive ids are draw-local and
-        // overwritten by the merge below.
-        PrimAssembler assembler(cfg);
-        w.prims.clear();
-        assembler.assemble(draw, w.transformed,
-                           scene.texture(draw.texture).side(), w.prims);
-
-        w.overlaps.resize(w.prims.size());
-        for (std::size_t p = 0; p < w.prims.size(); ++p)
-            PolyListBuilder::overlapTiles(cfg, w.prims[p], w.overlaps[p]);
-    });
-
-    // Serial merge in submission order: replay the timed Vertex/Tile
-    // Cache traffic and reassign global primitive ids. This is the
-    // only part that touches the memory hierarchy or the Parameter
-    // Buffer, so their state evolves exactly as in runSerial().
-    VertexStage vstage(cfg, mem);
-    PolyListBuilder binner(cfg, mem, pb);
-    Cycle cursor = 0;
-    PrimId next_id = 0;
-    for (std::size_t d = 0; d < n_draws; ++d) {
-        DrawWork &w = work[d];
-        cursor = vstage.replayTiming(scene.draws[d], w.shadeOrder,
-                                     w.reuse, cursor);
-        for (std::size_t p = 0; p < w.prims.size(); ++p) {
-            w.prims[p].id = next_id++;
-            cursor = binner.binPrecomputed(w.prims[p], w.overlaps[p],
-                                           cursor);
-        }
-    }
-
-    Result r;
-    r.cycles = cursor;
-    r.vertices = vstage.verticesProcessed();
-    r.primitives = pb.numPrimitives();
-    return r;
-}
-
-GeometryPhase::Result
-GeometryPhase::run(const Scene &scene)
-{
-    pb.clear();
-    const std::uint32_t threads = cfg.resolvedGeomThreads();
-    if (threads <= 1 || scene.draws.size() <= 1)
-        return runSerial(scene);
-    return runParallel(scene, threads);
 }
 
 } // namespace dtexl

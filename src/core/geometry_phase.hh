@@ -5,27 +5,14 @@
  * extracted from the simulator's frame loop into its own unit so the
  * phase-structured engine can time and trace it independently of the
  * raster phase.
- *
- * When GpuConfig::geomThreads resolves to more than one, the phase
- * splits each draw's work into its pure functional half (vertex
- * transforms, post-transform-cache sequence, assembly/culling/LOD,
- * tile-overlap tests) and its timed half (Vertex/Tile Cache traffic
- * and cycle-cursor arithmetic). The pure half fans out across a
- * worker pool — draws are independent given only the config and the
- * scene — and the timed half is replayed serially in submission
- * order, so every counter, cursor, and Parameter Buffer byte is
- * bit-identical to the serial path for any thread count
- * (tests/test_parallel_geom.cc).
  */
 
 #ifndef DTEXL_CORE_GEOMETRY_PHASE_HH
 #define DTEXL_CORE_GEOMETRY_PHASE_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/config.hh"
-#include "common/worker_pool.hh"
 #include "geom/prim_assembler.hh"
 #include "geom/scene.hh"
 #include "geom/vertex_stage.hh"
@@ -67,24 +54,6 @@ class GeometryPhase
     Result run(const Scene &scene);
 
   private:
-    /**
-     * Precomputed pure outputs of one draw, produced on a worker
-     * thread. Primitive ids from the thread-local assembler are
-     * draw-local; the serial merge reassigns them in submission order.
-     */
-    struct DrawWork
-    {
-        std::vector<TransformedVertex> transformed;
-        std::vector<std::uint32_t> shadeOrder;
-        std::uint64_t reuse = 0;
-        std::vector<Primitive> prims;
-        /** Overlap set per primitive, parallel to prims. */
-        std::vector<std::vector<TileId>> overlaps;
-    };
-
-    Result runSerial(const Scene &scene);
-    Result runParallel(const Scene &scene, std::uint32_t threads);
-
     const GpuConfig &cfg;
     MemHierarchy &mem;
     ParamBuffer &pb;
@@ -92,9 +61,6 @@ class GeometryPhase
     /** Scratch reused across frames (capacity persists). */
     std::vector<TransformedVertex> transformed;
     std::vector<Primitive> prims;
-    std::vector<DrawWork> work;
-    /** Lazily created on the first parallel run(). */
-    std::unique_ptr<WorkerPool> pool;
 };
 
 } // namespace dtexl

@@ -28,11 +28,6 @@ RasterPipeline::RasterPipeline(const GpuConfig &cfg, MemHierarchy &mem,
         pipes[p].depth.assign(std::size_t{slots} * 4, 1.0f);
         pipes[p].color.assign(std::size_t{slots} * 4, kClearColor);
     }
-    // Partition the fragment-stage event loop into execution domains
-    // when asked to; raster_threads=1 (the default) keeps the serial
-    // loop with no worker pool, no gates armed, no merge protocol.
-    if (!singlePipe() && cfg.resolvedRasterThreads() > 1)
-        domains = std::make_unique<ExecDomainSet>(cfg, mem, numPipes());
 
     if (singlePipe()) {
         slotToQuad[0].resize(std::size_t{n} * n);
@@ -583,10 +578,7 @@ RasterPipeline::run(const ParamBuffer &pb, FrameStats &fs)
         }
         std::vector<ShaderCore::BatchResult> results;
         try {
-            results = domains
-                          ? domains->run(core_ptrs, batch_inputs)
-                          : ShaderCore::runBatches(core_ptrs,
-                                                   batch_inputs);
+            results = ShaderCore::runBatches(core_ptrs, batch_inputs);
         } catch (const SimError &e) {
             if (e.kind() != ErrorKind::Watchdog)
                 throw;

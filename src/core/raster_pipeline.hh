@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "core/exec_domain.hh"
 #include "core/frame_stats.hh"
 #include "core/shader_core.hh"
 #include "mem/hierarchy.hh"
@@ -89,14 +88,6 @@ class RasterPipeline
 
     ShaderCore &core(CoreId p) { return *cores[p]; }
     const StatSet &stats() const { return stats_; }
-
-    /**
-     * The execution-domain set running the partitioned fragment-stage
-     * event loop, or null when raster_threads resolves to 1 (the
-     * serial loop runs inline). Exposed for perf reporting
-     * (per-domain wall breakdown) and tests.
-     */
-    const ExecDomainSet *execDomains() const { return domains.get(); }
 
     /**
      * Attach (or detach, with nullptr) the telemetry sink. run() then
@@ -176,8 +167,6 @@ class RasterPipeline
     Rasterizer rasterizer;
     std::array<std::unique_ptr<ShaderCore>, kNumSubtiles> cores;
     std::array<PipeState, kNumSubtiles> pipes;
-    /** Partitioned fragment-stage executor; null = serial loop. */
-    std::unique_ptr<ExecDomainSet> domains;
 
     /** slot -> quad coords, per subtile (single-pipe: whole tile). */
     std::array<std::vector<Coord2>, kNumSubtiles> slotToQuad;

@@ -370,8 +370,7 @@ ShaderCore::checkForwardProgress(const std::vector<CoreRun> &runs,
 
 std::vector<ShaderCore::BatchResult>
 ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
-                       const std::vector<BatchInput> &inputs,
-                       const MergeHook *hook)
+                       const std::vector<BatchInput> &inputs)
 {
     dtexl_assert(cores.size() == inputs.size());
     std::vector<CoreRun> runs(cores.size());
@@ -444,17 +443,6 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
         checkForwardProgress(runs, watchdog_budget, progress,
                              best_cycle);
         progress = best_cycle;
-        if (hook) {
-            // Commit point of the cycle-ordered merge: siblings with
-            // smaller keys run first; the L2 gates block this event's
-            // shared-level accesses until the key is the global
-            // minimum.
-            hook->merge->publish(
-                hook->domain,
-                DomainMerge::packKey(
-                    best_cycle,
-                    hook->coreOffset + static_cast<std::uint32_t>(best)));
-        }
 
         CoreRun &run = runs[best];
         const std::size_t slot = cands[best].slot;

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "common/channel.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "geom/scene.hh"
@@ -80,20 +79,10 @@ class ShaderCore
      * the shared L2/DRAM in global time order and contend fairly —
      * running the batches one core at a time would systematically
      * starve the last-simulated core at the shared levels.
-     *
-     * @param hook Non-null when this call is one execution domain of a
-     *             partitioned loop (core/exec_domain.hh): before each
-     *             event executes, its (cycle, global core index) key
-     *             is published to the domain merge so the per-pipe L2
-     *             gates can commit shared-level accesses in serial
-     *             event order. The issue sequence itself is untouched
-     *             — pick() depends only on run-local state — so the
-     *             partitioned loop is bit-identical to the serial one.
      */
     static std::vector<BatchResult>
     runBatches(const std::vector<ShaderCore *> &cores,
-               const std::vector<BatchInput> &inputs,
-               const MergeHook *hook = nullptr);
+               const std::vector<BatchInput> &inputs);
 
     /**
      * Reinitialize per-frame state in place (texture-unit occupancy,

@@ -5,21 +5,48 @@
 
 namespace dtexl {
 
-void
-VertexStage::shadeSequence(const DrawCommand &draw,
-                           std::vector<std::uint32_t> &order,
-                           std::uint64_t &reuse)
+Cycle
+VertexStage::processDraw(const DrawCommand &draw, Cycle now,
+                         std::vector<TransformedVertex> &out)
 {
-    order.clear();
-    reuse = 0;
+    out.clear();
+    out.resize(draw.vertices.size());
+
+    const float half_w = static_cast<float>(cfg.screenWidth) * 0.5f;
+    const float half_h = static_cast<float>(cfg.screenHeight) * 0.5f;
+    Cycle cursor = now;
+
+    // One vertex-program run: attribute fetch through the Vertex
+    // Cache, then transform + viewport mapping.
+    auto shade = [&](std::uint32_t i) {
+        const Vertex &v = draw.vertices[i];
+        const Vec4f clip = draw.transform.apply(v.pos);
+        const float inv_w = clip.w != 0.0f ? 1.0f / clip.w : 1.0f;
+        TransformedVertex &tv = out[i];
+        tv.screen.x = (clip.x * inv_w * 0.5f + 0.5f) * 2.0f * half_w;
+        tv.screen.y = (clip.y * inv_w * 0.5f + 0.5f) * 2.0f * half_h;
+        tv.depth = std::clamp(clip.z * inv_w * 0.5f + 0.5f, 0.0f, 1.0f);
+        tv.uv = v.uv;
+
+        // A vertex record may straddle a line boundary; touch both
+        // lines.
+        const Addr a = draw.vertexBufferAddr + i * kVertexFetchBytes;
+        Cycle data = mem.vertexRead(a, cursor);
+        const Addr last = a + kVertexFetchBytes - 1;
+        if ((a / cfg.vertexCache.lineBytes) !=
+            (last / cfg.vertexCache.lineBytes)) {
+            data = std::max(data, mem.vertexRead(last, cursor));
+        }
+        cursor = std::max(data, cursor + kTransformCost);
+        ++vertexCount;
+    };
 
     // Hardware walks the index stream; non-indexed access to unused
     // vertices never happens.
     if (draw.indices.empty()) {
-        order.reserve(draw.vertices.size());
         for (std::uint32_t i = 0; i < draw.vertices.size(); ++i)
-            order.push_back(i);
-        return;
+            shade(i);
+        return cursor;
     }
 
     // FIFO post-transform cache of recently shaded indices, kept in a
@@ -38,73 +65,18 @@ VertexStage::shadeSequence(const DrawCommand &draw,
             }
         }
         if (hit) {
-            ++reuse;
+            ++reuseCount;
             continue;
         }
         // Miss: the vertex program runs (idempotent, so re-shading an
         // index evicted from the FIFO is functionally harmless and
         // pays the realistic re-fetch + re-transform cost).
-        order.push_back(idx);
+        shade(idx);
         ptc[ptcHead] = idx;
         ptcHead = (ptcHead + 1) % kPostTransformEntries;
         ptcSize = std::min(ptcSize + 1, kPostTransformEntries);
     }
-}
-
-TransformedVertex
-VertexStage::transformVertex(const GpuConfig &cfg,
-                             const DrawCommand &draw, std::uint32_t i)
-{
-    const float half_w = static_cast<float>(cfg.screenWidth) * 0.5f;
-    const float half_h = static_cast<float>(cfg.screenHeight) * 0.5f;
-
-    const Vertex &v = draw.vertices[i];
-    const Vec4f clip = draw.transform.apply(v.pos);
-    const float inv_w = clip.w != 0.0f ? 1.0f / clip.w : 1.0f;
-
-    TransformedVertex tv;
-    tv.screen.x = (clip.x * inv_w * 0.5f + 0.5f) * 2.0f * half_w;
-    tv.screen.y = (clip.y * inv_w * 0.5f + 0.5f) * 2.0f * half_h;
-    tv.depth = std::clamp(clip.z * inv_w * 0.5f + 0.5f, 0.0f, 1.0f);
-    tv.uv = v.uv;
-    return tv;
-}
-
-Cycle
-VertexStage::replayTiming(const DrawCommand &draw,
-                          const std::vector<std::uint32_t> &order,
-                          std::uint64_t reuse, Cycle now)
-{
-    Cycle cursor = now;
-    for (std::uint32_t i : order) {
-        // Attribute fetch through the Vertex Cache; a vertex record may
-        // straddle a line boundary, touch both lines.
-        const Addr a = draw.vertexBufferAddr + i * kVertexFetchBytes;
-        Cycle data = mem.vertexRead(a, cursor);
-        const Addr last = a + kVertexFetchBytes - 1;
-        if ((a / cfg.vertexCache.lineBytes) !=
-            (last / cfg.vertexCache.lineBytes)) {
-            data = std::max(data, mem.vertexRead(last, cursor));
-        }
-        cursor = std::max(data, cursor + kTransformCost);
-        ++vertexCount;
-    }
-    reuseCount += reuse;
     return cursor;
-}
-
-Cycle
-VertexStage::processDraw(const DrawCommand &draw, Cycle now,
-                         std::vector<TransformedVertex> &out)
-{
-    out.clear();
-    out.resize(draw.vertices.size());
-
-    std::uint64_t reuse = 0;
-    shadeSequence(draw, orderScratch, reuse);
-    for (std::uint32_t i : orderScratch)
-        out[i] = transformVertex(cfg, draw, i);
-    return replayTiming(draw, orderScratch, reuse, now);
 }
 
 } // namespace dtexl

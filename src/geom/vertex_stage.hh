@@ -3,18 +3,6 @@
  * The Vertex Stage of the Geometry Pipeline (Figure 3): fetches vertex
  * attributes through the L1 Vertex Cache, applies the draw's transform,
  * and maps clip space to screen space.
- *
- * The stage is split into pure and timed halves so the parallel
- * front-end (core/geometry_phase.cc) can fan the pure work out across
- * threads and replay only the timed memory traffic serially:
- *  - shadeSequence(): which indices get shaded, in stream order — a
- *    pure function of the index stream (the FIFO post-transform cache
- *    hits/misses do not depend on timing);
- *  - transformVertex(): the floating-point vertex program;
- *  - replayTiming(): the timed attribute fetches and transform-cost
- *    cursor arithmetic for a precomputed shade sequence.
- * processDraw() composes all three, so the serial path and the
- * parallel path execute identical arithmetic by construction.
  */
 
 #ifndef DTEXL_GEOM_VERTEX_STAGE_HH
@@ -56,34 +44,6 @@ class VertexStage
     Cycle processDraw(const DrawCommand &draw, Cycle now,
                       std::vector<TransformedVertex> &out);
 
-    /**
-     * The vertex indices that run the vertex program for this draw, in
-     * stream order (post-transform-cache misses), plus the number of
-     * stream entries that reuse a cached transform. Pure: independent
-     * of timing and of any VertexStage instance state.
-     */
-    static void shadeSequence(const DrawCommand &draw,
-                              std::vector<std::uint32_t> &order,
-                              std::uint64_t &reuse);
-
-    /** The vertex program: transform + viewport mapping. Pure. */
-    static TransformedVertex transformVertex(const GpuConfig &cfg,
-                                             const DrawCommand &draw,
-                                             std::uint32_t i);
-
-    /**
-     * Replay the timed part of a draw whose shade sequence was
-     * precomputed with shadeSequence(): the Vertex Cache attribute
-     * fetches and the per-vertex transform cost, with cursor
-     * arithmetic identical to processDraw(). Updates the stage's
-     * shade/reuse counters.
-     *
-     * @return Cycle at which the last vertex is ready.
-     */
-    Cycle replayTiming(const DrawCommand &draw,
-                       const std::vector<std::uint32_t> &order,
-                       std::uint64_t reuse, Cycle now);
-
     /** Vertex-program invocations (post-transform-cache misses). */
     std::uint64_t verticesProcessed() const { return vertexCount; }
     /** Index-stream entries that reused a transformed vertex. */
@@ -100,8 +60,6 @@ class VertexStage
     MemHierarchy &mem;
     std::uint64_t vertexCount = 0;
     std::uint64_t reuseCount = 0;
-    /** processDraw() scratch (capacity persists across draws). */
-    std::vector<std::uint32_t> orderScratch;
 };
 
 } // namespace dtexl

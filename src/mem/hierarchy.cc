@@ -33,19 +33,14 @@ MemHierarchy::MemHierarchy(const GpuConfig &cfg)
                                        kL1Ports, *l2Cache);
     tileL1 = std::make_unique<Cache>("l1tile", tile_cfg, kL1Ports,
                                      *l2Cache);
-    texGates.reserve(cfg.numPipelines);
     texL1s.reserve(cfg.numPipelines);
     CacheConfig tex_cfg = cfg.textureCache;
     tex_cfg.fastPath = cfg.simFastPath;
     tex_cfg.prefetchNextLine |= cfg.texturePrefetch;
     for (std::uint32_t i = 0; i < cfg.numPipelines; ++i) {
-        // Each texture L1 reaches the shared L2 through its own gate,
-        // the merge point when the raster loop runs partitioned into
-        // execution domains; disarmed it forwards straight through.
-        texGates.push_back(std::make_unique<L2Gate>(*l2Cache));
         texL1s.push_back(std::make_unique<Cache>(
             "l1tex" + std::to_string(i), tex_cfg, kL1Ports,
-            *texGates[i]));
+            *l2Cache));
     }
 }
 

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/channel.hh"
 #include "common/config.hh"
 #include "common/fault_inject.hh"
 #include "common/serial.hh"
@@ -21,44 +20,6 @@
 #include "telemetry/telemetry.hh"
 
 namespace dtexl {
-
-/**
- * Channel endpoint between one pipeline's private L1 texture cache and
- * the shared L2: every texture-L1 miss (fill, write-back, prefetch)
- * crosses domain boundaries here. Serial execution forwards straight
- * through; when a DomainMerge is armed (the raster event loop is
- * partitioned into execution domains, core/exec_domain.hh), the gate
- * first waits until its domain holds the globally minimal event key,
- * so the shared L2/DRAM observe accesses in exactly the serial order.
- */
-class L2Gate : public MemLevel
-{
-  public:
-    explicit L2Gate(MemLevel &shared) : shared(shared) {}
-
-    /** Arm the merge protocol for this gate's owning domain. */
-    void
-    arm(const DomainMerge *m, std::uint32_t domainIdx)
-    {
-        merge = m;
-        domain = domainIdx;
-    }
-
-    void disarm() { merge = nullptr; }
-
-    Cycle
-    access(Addr addr, AccessType type, Cycle now) override
-    {
-        if (merge)
-            merge->awaitTurn(domain);
-        return shared.access(addr, type, now);
-    }
-
-  private:
-    MemLevel &shared;
-    const DomainMerge *merge = nullptr;
-    std::uint32_t domain = 0;
-};
 
 /**
  * Owns and wires all memory levels. The number of L1 texture caches
@@ -97,8 +58,6 @@ class MemHierarchy
 
     Cache &textureCache(CoreId core) { return *texL1s[core]; }
     const Cache &textureCache(CoreId core) const { return *texL1s[core]; }
-    /** Per-pipe L2 channel endpoint (execution-domain merge point). */
-    L2Gate &textureL2Gate(std::uint32_t pipe) { return *texGates[pipe]; }
     Cache &vertexCache() { return *vertexL1; }
     Cache &tileCache() { return *tileL1; }
     Cache &l2() { return *l2Cache; }
@@ -197,13 +156,6 @@ class MemHierarchy
     std::unique_ptr<Cache> l2Cache;
     std::unique_ptr<Cache> vertexL1;
     std::unique_ptr<Cache> tileL1;
-    /**
-     * One gate per texture L1, interposed as its next level; the
-     * vertex/tile L1s keep their direct L2 wiring because they are
-     * only touched in the serial sections of the raster loop (tile
-     * fetch, flush) and in the geometry phase's serial timed replay.
-     */
-    std::vector<std::unique_ptr<L2Gate>> texGates;
     std::vector<std::unique_ptr<Cache>> texL1s;
 };
 

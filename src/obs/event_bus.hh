@@ -7,8 +7,7 @@
  * Design (DESIGN.md "Run observability"):
  *  - Producers (batch workers, the cache layer, CLI drivers) stamp an
  *    event and push it into a bounded Channel<RunEvent>
- *    (common/channel.hh) — the same submitter/collector shape as the
- *    raster execution domains.
+ *    (common/channel.hh).
  *  - ONE writer thread pops events, assigns the monotonic `seq`,
  *    renders the JSONL line, appends it to the ledger file, and
  *    updates the progress meter. Single-writer means lines never
@@ -24,9 +23,8 @@
  * Determinism: the ledger never feeds back into the simulation —
  * emission is observe-only — so FrameStats/imageHash/stats-JSON are
  * byte-identical with and without --events. Ledger *content* is
- * identical across --jobs/--geom-threads/--raster-threads modulo seq
- * order, timestamps and worker ids (scripts/run_report.py --canon
- * strips exactly those).
+ * identical across --jobs values modulo seq order, timestamps and
+ * worker ids (scripts/run_report.py --canon strips exactly those).
  */
 
 #ifndef DTEXL_OBS_EVENT_BUS_HH

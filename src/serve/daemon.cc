@@ -269,13 +269,11 @@ Daemon::runAttempt(JobRecord *rec, unsigned worker)
         res.ok = false;
         res.errorKind = e.kind();
         res.error = e.describe();
-        if (EventBus::armed()) {
-            RunEvent ev(EventKind::JobError, rec->spec.label);
-            ev.str("kind", toString(e.kind())).str("error", res.error);
-            EventBus::global().emit(std::move(ev));
-        }
     }
     finishAttempt(rec, res);
+    // The terminal event follows the table update, so a client that
+    // sends `status` on the notice already reads the final state.
+    emitJobOutcome(res);
 }
 
 void

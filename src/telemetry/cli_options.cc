@@ -1,9 +1,7 @@
 #include "telemetry/cli_options.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "cache/result_key.hh"
 #include "common/config.hh"
@@ -27,30 +25,6 @@ CommonCliOptions::tryParse(const std::string &arg)
             throwUserError("--jobs must be a number in [1, 256], got "
                            "'%s'", value);
         jobs = static_cast<unsigned>(n);
-        return true;
-    }
-    if (arg.rfind("--geom-threads=", 0) == 0) {
-        const char *value = arg.c_str() + 15;
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(value, &end, 10);
-        if (end == value || *end != '\0' || n > 256)
-            fatal("--geom-threads must be a number in [0, 256] "
-                  "(0 = auto)");
-        geomThreads = static_cast<std::uint32_t>(n);
-        return true;
-    }
-    if (arg.rfind("--raster-threads=", 0) == 0) {
-        const std::string value = arg.substr(17);
-        if (value == "auto") {
-            rasterThreads = 0;
-            return true;
-        }
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' || n > 256)
-            fatal("--raster-threads must be a number in [0, 256] or "
-                  "'auto' (0/auto = one per pipeline bank)");
-        rasterThreads = static_cast<std::uint32_t>(n);
         return true;
     }
     if (arg == "--reference-path") {
@@ -220,12 +194,12 @@ CommonCliOptions::noteInvocation(int argc, char *const *argv)
 }
 
 void
-CommonCliOptions::applyThreadKnobs(GpuConfig &cfg) const
+CommonCliOptions::applyRunOptions(GpuConfig &cfg) const
 {
     // Arm the result cache here, not at parse time: --cache may appear
     // before --cache-dir on the command line. configure() validates
     // the combination and is idempotent (the bench harness applies the
-    // knobs once per variant).
+    // options once per variant).
     ResultCache::global().configure(cacheDir, cacheMode,
                                     checkpointEvery, resumeFlag);
 
@@ -251,47 +225,13 @@ CommonCliOptions::applyThreadKnobs(GpuConfig &cfg) const
         cfg.simdMode = static_cast<SimdMode>(simdMode);
 
     // Open the ledger: run_start carries the config digest, which
-    // deliberately excludes the host-execution knobs below, so the
-    // same sweep hashes identically for any --jobs/--geom-threads/
-    // --raster-threads/--simd. First call wins (the bench harness
-    // applies the knobs once per config variant).
+    // deliberately excludes the host-execution knobs, so the same
+    // sweep hashes identically for any --jobs/--simd. First call wins
+    // (the bench harness applies the options once per config variant).
     if (EventBus::armed())
         EventBus::global().emitRunStart(hashConfig(cfg),
                                         buildFingerprint(),
                                         toString(cfg.simdMode));
-
-    if (geomThreads != kGeomThreadsUnset)
-        cfg.geomThreads = geomThreads;
-    if (rasterThreads != kRasterThreadsUnset)
-        cfg.rasterThreads = rasterThreads;
-
-    // Every batch-driver worker runs its own per-job thread pools, but
-    // the geometry front-end and the raster domains run in alternating
-    // phases, so the peak host demand is jobs x max(geom, raster), not
-    // the triple product. Oversubscribing slows the whole batch down;
-    // clamp both per-job knobs and tell the user once.
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const std::uint32_t geom = cfg.resolvedGeomThreads();
-    const std::uint32_t raster = cfg.resolvedRasterThreads();
-    const std::uint64_t demand = static_cast<std::uint64_t>(jobs) *
-                                 std::max(geom, raster);
-    if (demand > hw) {
-        const auto clamped = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(hw / jobs));
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            warn("--jobs=%u x max(%u geometry threads, %u raster "
-                 "domains) oversubscribes %u hardware threads; "
-                 "clamping both per-job knobs to %u",
-                 jobs, geom, raster, hw, clamped);
-        }
-        if (geom > clamped)
-            cfg.geomThreads = clamped;
-        if (raster > clamped)
-            cfg.rasterThreads = clamped;
-    }
 }
 
 const char *
@@ -299,17 +239,6 @@ CommonCliOptions::helpText()
 {
     return
         "  --jobs=N            worker threads for the batch driver\n"
-        "  --geom-threads=N    host threads for each simulation's "
-        "geometry\n"
-        "                      front-end (0 = auto; results are "
-        "bit-identical\n"
-        "                      for any value)\n"
-        "  --raster-threads=N  execution domains for each simulation's "
-        "raster\n"
-        "                      event loop (N or 'auto' = one per "
-        "pipeline bank;\n"
-        "                      results are bit-identical for any "
-        "value)\n"
         "  --trace=FILE        write Chrome-trace JSON "
         "(chrome://tracing)\n"
         "  --stats-json=FILE   write a flat JSON dump of all counters\n"

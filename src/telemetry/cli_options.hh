@@ -23,27 +23,11 @@ struct GpuConfig;
 /** Options common to every CLI; parse side effects arm the globals. */
 struct CommonCliOptions
 {
-    /** --geom-threads/--raster-threads value meaning "not given". */
-    static constexpr std::uint32_t kGeomThreadsUnset = ~0u;
-    static constexpr std::uint32_t kRasterThreadsUnset = ~0u;
     /** --simd value meaning "not given" (keep the config default). */
     static constexpr std::uint32_t kSimdUnset = ~0u;
 
     /** Worker threads for the batch driver (--jobs=N, [1, 256]). */
     unsigned jobs = 1;
-    /**
-     * Geometry front-end threads per simulation (--geom-threads=N,
-     * [0, 256]; 0 = auto). Unset leaves GpuConfig::geomThreads (or a
-     * geom_threads key=value option) alone.
-     */
-    std::uint32_t geomThreads = kGeomThreadsUnset;
-    /**
-     * Raster execution domains per simulation (--raster-threads=N,
-     * [0, 256] or "auto"; 0/auto = one per pipeline bank). Unset
-     * leaves GpuConfig::rasterThreads (or a raster_threads key=value
-     * option) alone.
-     */
-    std::uint32_t rasterThreads = kRasterThreadsUnset;
     /** --reference-path clears GpuConfig::simFastPath (A/B checks). */
     bool fastPath = true;
     /**
@@ -75,7 +59,7 @@ struct CommonCliOptions
     /**
      * --cache-gc=AGE: prune ckpt-*.bin files in --cache-dir older than
      * AGE (seconds, or with an s/m/h/d suffix; 0 = all) before the
-     * run. Applied by applyThreadKnobs() after the cache is armed.
+     * run. Applied by applyRunOptions() after the cache is armed.
      */
     std::uint64_t cacheGcAge = kCacheGcUnset;
     /** --events=FILE: JSONL run-event ledger (dtexl-events-v1). */
@@ -91,7 +75,7 @@ struct CommonCliOptions
      * the crash-report directory, --inject-fault=SITE[:N] arms a
      * fault-injection site. The cache flags (--cache-dir, --cache,
      * --checkpoint-every, --resume) only record values here; they are
-     * applied by applyThreadKnobs() so flag order never matters.
+     * applied by applyRunOptions() so flag order never matters.
      */
     bool tryParse(const std::string &arg);
 
@@ -113,22 +97,16 @@ struct CommonCliOptions
                                            const char *usage = "");
 
     /**
-     * Resolve --geom-threads and --raster-threads into @p cfg, then
-     * clamp the whole thread hierarchy against the host: geometry
-     * workers and raster domains run in alternating phases, so peak
-     * demand is jobs x max(geom, raster); when that exceeds hardware
-     * concurrency both per-job knobs are clamped to hw/jobs with one
-     * consolidated warn() per process. Call after every other config
-     * option is applied, before cfg.validate(). Results are
-     * bit-identical for any thread count, so the clamp only affects
-     * host throughput, never simulation output.
-     *
-     * Also arms the global ResultCache from the recorded cache flags
-     * (idempotent — the bench harness calls this once per variant),
-     * since by this point every flag has been parsed regardless of
-     * order on the command line.
+     * Apply the run-level options that must wait until every flag is
+     * parsed, whatever their order on the command line: arm the global
+     * ResultCache from the recorded cache flags, run --cache-gc,
+     * resolve --simd into @p cfg and open the --events ledger (its
+     * run_start carries @p cfg's digest). Call after every other
+     * config option is applied, before cfg.validate(). Idempotent:
+     * the bench harness calls it once per config variant, and the
+     * first call opens the ledger.
      */
-    void applyThreadKnobs(GpuConfig &cfg) const;
+    void applyRunOptions(GpuConfig &cfg) const;
 
     /** Help lines for the shared flags (one per line, indented). */
     static const char *helpText();

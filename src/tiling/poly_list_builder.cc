@@ -63,10 +63,10 @@ PolyListBuilder::overlapTiles(const GpuConfig &cfg, const Primitive &prim,
 }
 
 Cycle
-PolyListBuilder::binPrecomputed(const Primitive &prim,
-                                const std::vector<TileId> &overlaps,
-                                Cycle now)
+PolyListBuilder::binPrimitive(const Primitive &prim, Cycle now)
 {
+    const std::vector<TileId> &overlaps = overlapScratch;
+    overlapTiles(cfg, prim, overlapScratch);
     const TileBounds b = tileBounds(cfg, prim);
 
     Cycle cursor = now;
@@ -76,8 +76,8 @@ PolyListBuilder::binPrecomputed(const Primitive &prim,
     cursor = std::max(cursor, mem.tileAccess(pb.attrAddr(index),
                                              AccessType::Write, cursor));
 
-    // Hardware still tests every candidate tile in the bounding box —
-    // precomputing the outcome saves host time, not modelled cycles.
+    // Hardware tests every candidate tile in the bounding box, so each
+    // costs kBinTestCost whether or not it is in the overlap set.
     std::size_t next = 0;
     for (std::int32_t ty = b.ty0; ty <= b.ty1; ++ty) {
         for (std::int32_t tx = b.tx0; tx <= b.tx1; ++tx) {
@@ -99,13 +99,6 @@ PolyListBuilder::binPrecomputed(const Primitive &prim,
     dtexl_assert(next == overlaps.size(),
                  "overlap set does not match primitive bounds");
     return cursor;
-}
-
-Cycle
-PolyListBuilder::binPrimitive(const Primitive &prim, Cycle now)
-{
-    overlapTiles(cfg, prim, overlapScratch);
-    return binPrecomputed(prim, overlapScratch, now);
 }
 
 } // namespace dtexl

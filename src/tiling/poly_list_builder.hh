@@ -4,13 +4,9 @@
  * into the per-tile lists of the Parameter Buffer, writing attribute
  * records and list entries through the Tile Cache.
  *
- * Like the Vertex Stage, binning is split into a pure half
- * (overlapTiles(): which tiles a primitive lands in — geometry only)
- * and a timed half (binPrecomputed(): Parameter Buffer writes and
- * per-candidate test cost), so the parallel front-end can run the
- * overlap tests off-thread and replay the memory traffic serially.
- * binPrimitive() composes the two, keeping the serial path identical
- * by construction.
+ * overlapTiles() is the pure half (which tiles a primitive lands in —
+ * geometry only); binPrimitive() adds the timed Parameter Buffer
+ * writes and per-candidate test cost.
  */
 
 #ifndef DTEXL_TILING_POLY_LIST_BUILDER_HH
@@ -51,16 +47,6 @@ class PolyListBuilder
      */
     static void overlapTiles(const GpuConfig &cfg, const Primitive &prim,
                              std::vector<TileId> &out);
-
-    /**
-     * Timed half of binPrimitive() for a primitive whose overlap set
-     * was precomputed with overlapTiles(): walks the same bounding-box
-     * candidates charging kBinTestCost each, and appends + writes a
-     * list entry when the candidate matches the next precomputed
-     * overlap. Cursor arithmetic is identical to binPrimitive().
-     */
-    Cycle binPrecomputed(const Primitive &prim,
-                         const std::vector<TileId> &overlaps, Cycle now);
 
     std::uint64_t tileEntriesWritten() const { return entriesWritten; }
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Channel close/shutdown semantics (see DESIGN.md "Service daemon"):
- * the daemon's drain path closes the admission queue while producers
- * (admit, retryLoop) may be blocked mid-push and workers are popping,
- * so the close contract has to be exact — blocked producers wake and
- * fail, items already accepted are never lost, consumers drain the
- * backlog before seeing nullopt, and close() is idempotent. The basic
- * FIFO/blocking behaviour is covered next to the raster domains in
- * test_raster_domains.cc; this file is the shutdown-ordering battery,
- * and runs under ThreadSanitizer in CI.
+ * Channel<T> FIFO/blocking behaviour and its close/shutdown semantics
+ * (see DESIGN.md "Service daemon"): the daemon's drain path closes the
+ * admission queue while producers (admit, retryLoop) may be blocked
+ * mid-push and workers are popping, so the close contract has to be
+ * exact — blocked producers wake and fail, items already accepted are
+ * never lost, consumers drain the backlog before seeing nullopt, and
+ * close() is idempotent. Runs under ThreadSanitizer in CI.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +19,55 @@
 
 namespace dtexl {
 namespace {
+
+TEST(Channel, FifoOrderAndCapacity)
+{
+    Channel<int> ch(2);
+    EXPECT_EQ(ch.capacity(), 2u);
+    EXPECT_TRUE(ch.tryPush(1));
+    EXPECT_TRUE(ch.tryPush(2));
+    EXPECT_FALSE(ch.tryPush(3)) << "full channel must reject";
+    EXPECT_EQ(ch.size(), 2u);
+
+    auto a = ch.tryPop();
+    auto b = ch.tryPop();
+    auto c = ch.tryPop();
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(*a, 1);
+    EXPECT_EQ(*b, 2);
+    EXPECT_FALSE(c.has_value()) << "empty channel must report empty";
+}
+
+TEST(Channel, CloseWakesAndDrains)
+{
+    Channel<int> ch(4);
+    EXPECT_TRUE(ch.push(7));
+    ch.close();
+    EXPECT_FALSE(ch.push(8)) << "push after close must fail";
+    auto a = ch.pop();
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(*a, 7);
+    EXPECT_FALSE(ch.pop().has_value())
+        << "closed and drained returns nullopt, not a block";
+}
+
+TEST(Channel, BlockingHandoffAcrossThreads)
+{
+    Channel<int> ch(1);
+    std::vector<int> got;
+    std::thread consumer([&] {
+        while (auto v = ch.pop())
+            got.push_back(*v);
+    });
+    for (int i = 0; i < 100; ++i)
+        EXPECT_TRUE(ch.push(i));
+    ch.close();
+    consumer.join();
+    ASSERT_EQ(got.size(), 100u);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
 
 TEST(ChannelClose, WakesBlockedProducers)
 {

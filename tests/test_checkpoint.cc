@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/checkpoint.hh"
@@ -206,47 +207,49 @@ TEST(CheckpointTest, ResumeAtEveryFrameBoundaryIsBitExact)
     }
 }
 
-TEST(CheckpointTest, ResumeAcrossThreadCountChangesIsBitExact)
+TEST(CheckpointTest, ResumeAcrossSimdModeChangeIsBitExact)
 {
-    // Host thread knobs are excluded from the key (hashConfig()), so a
-    // checkpoint taken by a serial run must resume bit-identically on a
-    // differently-threaded host.
-    const std::string dir = tempDir("ckpt_threads");
-    GpuConfig serial_cfg = small(makeDTexLConfig());
-    serial_cfg.geomThreads = 1;
-    serial_cfg.rasterThreads = 1;
-    GpuConfig threaded_cfg = serial_cfg;
-    threaded_cfg.geomThreads = 4;
-    threaded_cfg.rasterThreads = 2;
+    // Host-execution knobs are excluded from the key (hashConfig()),
+    // so a checkpoint taken with the lane kernels must resume
+    // bit-identically on the scalar kernels, and the other way round.
+    const std::string dir = tempDir("ckpt_simd");
+    GpuConfig lanes_cfg = small(makeDTexLConfig());
+    lanes_cfg.simdMode = SimdMode::Auto;
+    GpuConfig scalar_cfg = lanes_cfg;
+    scalar_cfg.simdMode = SimdMode::Scalar;
 
     const std::vector<Scene> scenes =
-        makeScenes("GTr", serial_cfg, kFrames);
-    const ResultKey key = makeKey(scenes, serial_cfg);
-    ASSERT_EQ(key.config, makeKey(scenes, threaded_cfg).config);
+        makeScenes("GTr", lanes_cfg, kFrames);
+    const ResultKey key = makeKey(scenes, lanes_cfg);
+    ASSERT_EQ(key.config, makeKey(scenes, scalar_cfg).config);
 
     StatRegistry ref_reg("ref");
     const std::vector<FrameStats> ref =
-        uninterruptedRun(serial_cfg, scenes, "job.t", &ref_reg);
+        uninterruptedRun(lanes_cfg, scenes, "job.t", &ref_reg);
 
-    const std::string path = dir + "/ckpt-threads.bin";
-    {
-        StatRegistry reg("victim");
-        SimulationSession session(serial_cfg, scenes[0], "job.t");
+    const std::pair<const GpuConfig *, const GpuConfig *> shapes[] = {
+        {&lanes_cfg, &scalar_cfg}, {&scalar_cfg, &lanes_cfg}};
+    for (const auto &[save_cfg, resume_cfg] : shapes) {
+        const std::string path = dir + "/ckpt-simd.bin";
+        {
+            StatRegistry reg("victim");
+            SimulationSession session(*save_cfg, scenes[0], "job.t");
+            session.setStatRegistry(&reg);
+            session.renderFrame();
+            session.renderFrame(scenes[1]);
+            session.saveCheckpoint(path, key);
+        }
+
+        StatRegistry reg("resumed");
+        SimulationSession session(*resume_cfg, scenes[0], "job.t");
         session.setStatRegistry(&reg);
-        session.renderFrame();
-        session.renderFrame(scenes[1]);
-        session.saveCheckpoint(path, key);
+        ASSERT_EQ(session.tryResumeCheckpoint(path, key), 2u);
+        for (std::uint32_t f = 2; f < kFrames; ++f)
+            session.renderFrame(scenes[f]);
+
+        expectSameHistory(ref, session.history(), "simd-mode resume");
+        expectSameRegistry(ref_reg, reg);
     }
-
-    StatRegistry reg("resumed");
-    SimulationSession session(threaded_cfg, scenes[0], "job.t");
-    session.setStatRegistry(&reg);
-    ASSERT_EQ(session.tryResumeCheckpoint(path, key), 2u);
-    for (std::uint32_t f = 2; f < kFrames; ++f)
-        session.renderFrame(scenes[f]);
-
-    expectSameHistory(ref, session.history(), "threaded resume");
-    expectSameRegistry(ref_reg, reg);
 }
 
 // ---- Failure paths -----------------------------------------------

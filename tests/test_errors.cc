@@ -16,6 +16,7 @@
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/sim_error.hh"
+#include "telemetry/cli_options.hh"
 
 namespace dtexl {
 namespace {
@@ -126,8 +127,59 @@ TEST(ConfigValidate, RejectsEveryBrokenKnobByName)
         "rowMissLatency");
     expectConfigReject([](GpuConfig &c) { c.telemetryLevel = 9; },
                        "telemetry");
-    expectConfigReject([](GpuConfig &c) { c.geomThreads = 1000; },
-                       "geom_threads");
+}
+
+/** Expect @p fn to throw SimError{UserInput} naming @p name. */
+void
+expectUserReject(const std::function<void()> &fn, const std::string &name)
+{
+    try {
+        fn();
+        FAIL() << "expected UserInput SimError naming " << name;
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::UserInput);
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << name << " not named in: " << e.what();
+    }
+}
+
+TEST(ConfigValidate, PerJobThreadKnobsAreRejected)
+{
+    // Every simulation runs on one host thread: the old per-job thread
+    // flags and keys are unknown, and the inert GpuConfig members
+    // accept only 1.
+    for (const std::string flag :
+         {"--geom-threads=2", "--raster-threads=auto"}) {
+        expectUserReject(
+            [&] {
+                CommonCliOptions opts;
+                if (!opts.tryParse(flag))
+                    CommonCliOptions::rejectUnknown(flag);
+            },
+            flag.substr(0, flag.find('=')));
+    }
+    for (const std::string key : {"geom_threads", "raster_threads"}) {
+        expectUserReject(
+            [&] {
+                GpuConfig cfg;
+                applyConfigOption(cfg, key, "2");
+            },
+            key);
+    }
+    expectUserReject(
+        [] {
+            GpuConfig cfg;
+            cfg.geomThreads = 2;
+            cfg.validate();
+        },
+        "geomThreads");
+    expectUserReject(
+        [] {
+            GpuConfig cfg;
+            cfg.rasterThreads = 0;
+            cfg.validate();
+        },
+        "rasterThreads");
 }
 
 TEST(ConfigValidate, WatchdogKnobParsesAndValidates)

@@ -295,8 +295,8 @@ TEST(ResultKeyTest, EveryResultAffectingKnobChangesTheKey)
 TEST(ResultKeyTest, HostExecutionKnobsAreExcluded)
 {
     // These knobs are proven bit-identical by the rest of the suite
-    // (fastpath/thread-count equivalence tests), so cache entries and
-    // checkpoints must be shared across them.
+    // (fastpath/SIMD equivalence tests) or inert (the thread members),
+    // so cache entries and checkpoints must be shared across them.
     const GpuConfig base = makeDTexLConfig();
     const std::uint64_t h0 = hashConfig(base);
 

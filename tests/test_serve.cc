@@ -32,6 +32,7 @@
 
 #include "common/signals.hh"
 #include "core/dtexl.hh"
+#include "obs/event_bus.hh"
 #include "serve/daemon.hh"
 #include "serve/job_table.hh"
 #include "serve/journal.hh"
@@ -521,6 +522,84 @@ TEST(ServeDaemon, SubmitRunsToDoneAndReportsStatus)
     EXPECT_TRUE(report.flag("drained"));
     EXPECT_DOUBLE_EQ(report.num("done"), 1.0);
     EXPECT_EQ(d.exitCode(), 0) << "command drain exits 0";
+}
+
+TEST(ServeDaemon, StatusOnTerminalNoticeReadsFinalState)
+{
+    // A client that sends `status` as soon as the subscribe stream
+    // carries a job's terminal event (job_complete, or job_error for
+    // the jobs that outlive their deadline) must read the final
+    // state: the daemon emits the event only after its table records
+    // the outcome. Both connections are opened up front so the status
+    // round trip is as short as the daemon allows.
+    TempDir ledgerDir;
+    EventBus::global().resetForTests();
+    EventBus::global().enable(ledgerDir.path() + "/events.jsonl");
+    {
+        DaemonConfig dc;
+        dc.workers = 2;
+        dc.queueDepth = 32;
+        DaemonFixture d(dc);
+        const int sub = TestClient::connect(d.socketPath());
+        const int ctl = TestClient::connect(d.socketPath());
+        ASSERT_GE(sub, 0);
+        ASSERT_GE(ctl, 0);
+        const timeval timeout{60, 0};
+        for (int fd : {sub, ctl})
+            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout));
+        auto sendLine = [](int fd, const std::string &line) {
+            const std::string msg = line + "\n";
+            ASSERT_EQ(::send(fd, msg.data(), msg.size(), MSG_NOSIGNAL),
+                      static_cast<ssize_t>(msg.size()));
+        };
+        auto readJson = [](int fd, JsonValue &out) {
+            std::string line;
+            char c;
+            while (::read(fd, &c, 1) == 1) {
+                if (c == '\n') {
+                    std::string err;
+                    return parseJson(line, out, err);
+                }
+                line += c;
+            }
+            return false;
+        };
+        sendLine(sub, R"({"cmd":"subscribe"})");
+
+        constexpr int kJobs = 16;
+        for (int i = 0; i < kJobs; ++i) {
+            const std::string shape =
+                i % 2 == 1 ? R"("frames":50,"deadline_ms":1)"
+                           : R"("frames":4)";
+            EXPECT_TRUE(d.rpcJson(R"({"cmd":"submit","job":"j)" +
+                                  std::to_string(i) +
+                                  R"(","bench":"SWa",)" + shape + "}")
+                            .flag("ok"));
+        }
+        int completed = 0;
+        JsonValue ev;
+        while (completed < kJobs && readJson(sub, ev)) {
+            const std::string event = ev.str("event");
+            if (event != "job_complete" && event != "job_error")
+                continue;
+            ++completed;
+            sendLine(ctl, R"({"cmd":"status","job":")" + ev.str("job") +
+                              R"("})");
+            JsonValue v;
+            ASSERT_TRUE(readJson(ctl, v));
+            const JsonValue *st = v.find("status");
+            ASSERT_NE(st, nullptr);
+            EXPECT_EQ(st->str("state"),
+                      event == "job_complete" ? "done" : "expired")
+                << ev.str("job");
+        }
+        EXPECT_EQ(completed, kJobs);
+        ::close(sub);
+        ::close(ctl);
+        d.drain();
+    }
+    EventBus::global().resetForTests();
 }
 
 TEST(ServeDaemon, RejectsMalformedAndUnknownRequests)

@@ -8,10 +8,9 @@
  * footprints (quadSampleFootprints), the vectorized rasterizer, and
  * finally whole-frame equivalence: FrameStats, registry counters and
  * the image hash must be byte-identical under --simd=auto and
- * --simd=scalar for every preset, both simulator paths and threaded
- * shapes. Also holds the pow2-texture-side regression tests (the
- * repeat-addressing wrap mask assumes it) and the --simd plumbing
- * tests.
+ * --simd=scalar for every preset and both simulator paths. Also holds
+ * the pow2-texture-side regression tests (the repeat-addressing wrap
+ * mask assumes it) and the --simd plumbing tests.
  */
 
 #include <gtest/gtest.h>
@@ -758,16 +757,6 @@ TEST(SimdEquiv, ReferenceSimulatorPath)
     GpuConfig cfg = smallCfg();
     cfg.simFastPath = false;
     autoMatchesScalar(cfg, "CCS");
-}
-
-TEST(SimdEquiv, ThreadedFrontAndBackEnd)
-{
-    // Lane kernels run inside geometry workers and raster domains; the
-    // equivalence must survive both thread shapes at once.
-    GpuConfig cfg = smallCfg();
-    cfg.geomThreads = 2;
-    cfg.rasterThreads = 2;
-    autoMatchesScalar(cfg, "Mze");
 }
 
 TEST(SimdEquiv, StatRegistryBitExact)
