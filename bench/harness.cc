@@ -49,8 +49,9 @@ BenchOptions::parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (common.tryParse(arg)) {
-            // Shared flag (--jobs, --trace, --stats-json,
-            // --timeline-csv, --reference-path); copied below.
+            // Shared flag (--jobs, --simd, --trace, --stats-json,
+            // --timeline-csv, the cache and ledger flags); copied
+            // below.
         } else if (arg == "--full") {
             opt.width = 1960;
             opt.height = 768;
@@ -113,7 +114,6 @@ BenchOptions::parse(int argc, char **argv)
         }
     }
     opt.jobs = common.jobs;
-    opt.fastPath = common.fastPath;
     opt.tracePath = common.tracePath;
     opt.common = common;
     return opt;
@@ -139,7 +139,6 @@ BenchOptions::baseline() const
     GpuConfig cfg = makeBaselineConfig();
     cfg.screenWidth = width;
     cfg.screenHeight = height;
-    cfg.simFastPath = fastPath;
     common.applyRunOptions(cfg);
     return cfg;
 }
@@ -150,7 +149,6 @@ BenchOptions::dtexl() const
     GpuConfig cfg = makeDTexLConfig();
     cfg.screenWidth = width;
     cfg.screenHeight = height;
-    cfg.simFastPath = fastPath;
     common.applyRunOptions(cfg);
     return cfg;
 }
@@ -161,7 +159,6 @@ BenchOptions::upperBound() const
     GpuConfig cfg = makeUpperBoundConfig();
     cfg.screenWidth = width;
     cfg.screenHeight = height;
-    cfg.simFastPath = fastPath;
     common.applyRunOptions(cfg);
     return cfg;
 }

@@ -39,12 +39,6 @@ struct BenchOptions
     /** When set (--trace=FILE), write a Chrome-trace JSON on exit. */
     std::string tracePath;
     /**
-     * Simulator hot-path selector (see GpuConfig::simFastPath);
-     * --reference-path clears it to run the original implementations
-     * for A/B equivalence checks — results are bit-identical.
-     */
-    bool fastPath = true;
-    /**
      * The shared flags as parsed; baseline()/dtexl()/upperBound()
      * apply the run-level ones (cache, --simd, ledger) to each config.
      */

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/serial.hh"
-#include "raster/quad_stream.hh"
 #include "raster/rasterizer.hh"
 #include "sfc/tile_order.hh"
 #include "texture/sampler.hh"
@@ -61,74 +60,6 @@ BM_Rasterize(benchmark::State &state, SimdMode mode)
 }
 BENCHMARK_CAPTURE(BM_Rasterize, scalar, SimdMode::Scalar);
 BENCHMARK_CAPTURE(BM_Rasterize, lanes, SimdMode::Auto);
-
-// ---------------------------------------------------------------------
-// Batched LOD (QuadStream::lod4 vs lod)
-// ---------------------------------------------------------------------
-
-QuadStream
-lodStream(const Primitive *prim)
-{
-    QuadStream qs;
-    std::uint64_t rng = 0x243f6a8885a308d3ull;
-    auto uniform = [&rng]() {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return static_cast<float>(rng >> 40) /
-               static_cast<float>(1u << 24);
-    };
-    // 128 primitives x 32 quads. Affine texture mapping makes uv
-    // derivatives constant across a primitive, so a real batch is runs
-    // of quads with identical rho; sizing d so rho lands in [0.5, 2.0]
-    // at side 256 mixes magnified runs (lod == 0) and minified runs
-    // (scalar log2 tail) like mipmapped content does. Uniform-random
-    // per-quad derivatives would instead take the log2 tail almost
-    // every group, which is scalar in both implementations.
-    for (int p = 0; p < 128; ++p) {
-        const float d = (0.5f + 1.5f * uniform()) / 256.0f;
-        for (int i = 0; i < 32; ++i) {
-            const Vec2f base{uniform(), uniform()};
-            std::array<Fragment, 4> frags;
-            for (int k = 0; k < 4; ++k)
-                frags[k].uv =
-                    Vec2f{base.x + d * static_cast<float>(k % 2),
-                          base.y + d * static_cast<float>(k / 2)};
-            qs.push(prim, Coord2{0, 0}, 0xF, frags);
-        }
-    }
-    return qs;
-}
-
-void
-BM_LodBatch(benchmark::State &state, SimdMode mode)
-{
-    const Primitive prim = tileTriangle();
-    const QuadStream qs = lodStream(&prim);
-    const auto n = static_cast<std::uint32_t>(qs.size());
-    for (auto _ : state) {
-        float acc = 0.0f;
-        if (mode == SimdMode::Auto) {
-            std::uint32_t idx[4];
-            const std::uint32_t side[4] = {256, 256, 256, 256};
-            float out[4];
-            for (std::uint32_t i = 0; i + 4 <= n; i += 4) {
-                for (int j = 0; j < 4; ++j)
-                    idx[j] = i + static_cast<std::uint32_t>(j);
-                qs.lod4(idx, side, out);
-                acc += out[0] + out[1] + out[2] + out[3];
-            }
-        } else {
-            for (std::uint32_t i = 0; i < n; ++i)
-                acc += qs.lod(i, 256);
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK_CAPTURE(BM_LodBatch, scalar, SimdMode::Scalar);
-BENCHMARK_CAPTURE(BM_LodBatch, lanes, SimdMode::Auto);
 
 // ---------------------------------------------------------------------
 // Texel footprints (quadSampleFootprints vs 4x sampleFootprint)
@@ -182,7 +113,7 @@ BENCHMARK_CAPTURE(BM_Footprints, trilinear_lanes, SimdMode::Auto,
                   FilterMode::Trilinear);
 
 // ---------------------------------------------------------------------
-// Tile traversals (Morton decode / Hilbert table, 4 cells per lane op)
+// Tile traversal (Morton decode, 4 cells per lane op)
 // ---------------------------------------------------------------------
 
 void
@@ -198,10 +129,6 @@ BM_TileOrder(benchmark::State &state, TileOrder order, SimdMode mode)
 BENCHMARK_CAPTURE(BM_TileOrder, zorder_scalar, TileOrder::ZOrder,
                   SimdMode::Scalar);
 BENCHMARK_CAPTURE(BM_TileOrder, zorder_lanes, TileOrder::ZOrder,
-                  SimdMode::Auto);
-BENCHMARK_CAPTURE(BM_TileOrder, hilbert_scalar, TileOrder::RectHilbert,
-                  SimdMode::Scalar);
-BENCHMARK_CAPTURE(BM_TileOrder, hilbert_lanes, TileOrder::RectHilbert,
                   SimdMode::Auto);
 
 // ---------------------------------------------------------------------

@@ -1,17 +1,16 @@
 /**
  * @file
- * Throughput micro-benchmarks (google-benchmark) for the simulator
- * hot-path overhaul, each run with both implementations: every
- * benchmark takes the fastPath knob as its argument (0 = reference,
- * 1 = optimized), so `--benchmark_filter=...` output shows the two
- * side by side. The pairs are bit-exact (tests/test_fastpath_equiv.cc);
- * these benchmarks measure only how fast the identical answer is
- * produced. scripts/run_perf.py measures the end-to-end analogue on
- * the figure benches.
+ * Throughput micro-benchmarks (google-benchmark) for the memory
+ * hierarchy: the RateWindow port/bandwidth primitive, cache hit, miss
+ * and MSHR-pressure streams, banked DRAM, the texture read path through
+ * L1/L2/DRAM, and texture-sampler footprint resolution.
+ * scripts/run_perf.py measures the end-to-end analogue on the figure
+ * benches.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 
 #include "common/config.hh"
@@ -19,6 +18,7 @@
 #include "mem/dram.hh"
 #include "mem/hierarchy.hh"
 #include "mem/rate_window.hh"
+#include "texture/sampler.hh"
 
 namespace {
 
@@ -61,7 +61,7 @@ class PerfectMem : public MemLevel
 void
 BM_RateWindowReserve(benchmark::State &state)
 {
-    RateWindow win(4 * 8, 8, state.range(0) != 0);
+    RateWindow win(4 * 8, 8);
     Rng rng;
     Cycle base = 0;
     bool stalled = false;
@@ -72,7 +72,7 @@ BM_RateWindowReserve(benchmark::State &state)
         benchmark::DoNotOptimize(win.reserve(now, stalled));
     }
 }
-BENCHMARK(BM_RateWindowReserve)->Arg(0)->Arg(1);
+BENCHMARK(BM_RateWindowReserve);
 
 /**
  * L1-shaped access stream: high hit rate over a small working set with
@@ -88,7 +88,6 @@ BM_CacheHitStream(benchmark::State &state)
     cfg.lineBytes = 64;
     cfg.ways = 4;
     cfg.numMshrs = 16;
-    cfg.fastPath = state.range(0) != 0;
     Cache cache("bm", cfg, 4, backing);
 
     Rng rng;
@@ -103,7 +102,7 @@ BM_CacheHitStream(benchmark::State &state)
         now += 1;
     }
 }
-BENCHMARK(BM_CacheHitStream)->Arg(0)->Arg(1);
+BENCHMARK(BM_CacheHitStream);
 
 /**
  * MSHR pressure: a tiny MSHR pool and a miss-heavy out-of-order stream
@@ -118,7 +117,6 @@ BM_CacheMshrPressure(benchmark::State &state)
     cfg.lineBytes = 64;
     cfg.ways = 2;
     cfg.numMshrs = 4;
-    cfg.fastPath = state.range(0) != 0;
     Cache cache("bm", cfg, 4, backing);
 
     Rng rng;
@@ -134,14 +132,13 @@ BM_CacheMshrPressure(benchmark::State &state)
             cache.access(sweep & 0xFFFFFF, AccessType::Read, now));
     }
 }
-BENCHMARK(BM_CacheMshrPressure)->Arg(0)->Arg(1);
+BENCHMARK(BM_CacheMshrPressure);
 
 /** Banked DRAM with row-buffer locality and channel arbitration. */
 void
 BM_DramStream(benchmark::State &state)
 {
     DramConfig cfg;
-    cfg.fastPath = state.range(0) != 0;
     Dram dram(cfg);
     Rng rng;
     Cycle now = 0;
@@ -154,7 +151,7 @@ BM_DramStream(benchmark::State &state)
         now += 3;
     }
 }
-BENCHMARK(BM_DramStream)->Arg(0)->Arg(1);
+BENCHMARK(BM_DramStream);
 
 /**
  * End-to-end memory path as the shader cores drive it: per-core L1
@@ -164,9 +161,6 @@ void
 BM_HierarchyTextureRead(benchmark::State &state)
 {
     GpuConfig cfg;
-    // MemHierarchy propagates the master knob into every cache/DRAM
-    // config it instantiates.
-    cfg.simFastPath = state.range(0) != 0;
     MemHierarchy mem(cfg);
 
     Rng rng;
@@ -178,7 +172,59 @@ BM_HierarchyTextureRead(benchmark::State &state)
         now += 1;
     }
 }
-BENCHMARK(BM_HierarchyTextureRead)->Arg(0)->Arg(1);
+BENCHMARK(BM_HierarchyTextureRead);
+
+/** Repeated L1 texture hit on one line through the hierarchy. */
+void
+BM_CacheHit(benchmark::State &state)
+{
+    GpuConfig cfg;
+    MemHierarchy mem(cfg);
+    mem.textureRead(0, 0x1000, 0);
+    Cycle now = 1000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mem.textureRead(0, 0x1000, now));
+        now += 2;
+    }
+}
+BENCHMARK(BM_CacheHit);
+
+/** Dependent cold misses through L1, L2 and DRAM. */
+void
+BM_CacheMissChain(benchmark::State &state)
+{
+    GpuConfig cfg;
+    MemHierarchy mem(cfg);
+    Addr a = 0;
+    Cycle now = 0;
+    for (auto _ : state) {
+        now = mem.textureRead(0, a, now);
+        a += 64;  // every access a cold miss
+    }
+}
+BENCHMARK(BM_CacheMissChain);
+
+/** Texel footprint and line resolution per filter mode. */
+void
+BM_SamplerFootprint(benchmark::State &state)
+{
+    const TextureDesc tex(0, 0x1000'0000, 1024);
+    const auto mode = static_cast<FilterMode>(state.range(0));
+    float u = 0.1f;
+    std::array<Addr, SampleFootprint::kMaxTexels> lines;
+    for (auto _ : state) {
+        const SampleFootprint fp =
+            sampleFootprint(tex, mode, u, 0.5f, 0.7f);
+        benchmark::DoNotOptimize(footprintLines(fp, 64, lines));
+        u += 0.001f;
+        if (u >= 1.0f)
+            u = 0.0f;
+    }
+}
+BENCHMARK(BM_SamplerFootprint)
+    ->Arg(static_cast<int>(FilterMode::Bilinear))
+    ->Arg(static_cast<int>(FilterMode::Trilinear))
+    ->Arg(static_cast<int>(FilterMode::Aniso2x));
 
 } // namespace
 

@@ -11,7 +11,7 @@
  *           [--jobs=N] [--trace=trace.json] [--stats]
  *           [--stats-json=stats.json] [--timeline-csv=timeline.csv]
  *           [--save-scene=file.dscene] [--preset=baseline|dtexl]
- *           [--reference-path] [--cache-dir=DIR] [--cache=MODE]
+ *           [--simd=auto|scalar] [--cache-dir=DIR] [--cache=MODE]
  *           [--checkpoint-every=N] [--resume]
  *           [--events=events.jsonl] [--progress] [--version]
  *           [key=value ...]
@@ -84,8 +84,8 @@ simCliMain(int argc, char **argv)
             return arg.substr(std::string(prefix).size());
         };
         if (common.tryParse(arg)) {
-            // Shared flag (--jobs, --trace, --stats-json,
-            // --timeline-csv, --reference-path).
+            // Shared flag (--jobs, --simd, --trace, --stats-json,
+            // --timeline-csv, the cache and ledger flags).
         } else if (arg.rfind("--bench=", 0) == 0) {
             bench_list = value_of("--bench=");
         } else if (arg.rfind("--scene=", 0) == 0) {
@@ -128,7 +128,6 @@ simCliMain(int argc, char **argv)
     }
     for (const auto &[k, v] : options)
         applyConfigOption(cfg, k, v);
-    cfg.simFastPath = cfg.simFastPath && common.fastPath;
     common.applyRunOptions(cfg);
     cfg.validate();
 

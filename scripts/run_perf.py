@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Simulator-throughput benchmark: emits BENCH_perf.json.
 
-Runs sim_cli on a set of figure benchmarks twice per benchmark — once
-with the optimized hot path (fastpath=1, the default) and once with the
-reference implementations (fastpath=0) — and records, per benchmark:
+Runs sim_cli on a set of figure benchmarks and records, per benchmark:
 
-  * simulated cycles (identical between the two runs, by construction),
+  * simulated cycles,
   * wall time of the simulation phase (scene generation excluded),
   * a per-phase wall-time breakdown (geometry front-end vs raster)
     from the engine's job.<label>.{geometry,raster}.wall_us counters,
-  * simulator throughput in Mcycles/s for both paths,
-  * the wall-time speedup of the fast path,
+  * simulator throughput in Mcycles/s (key mcycles_per_s_fast, the
+    name committed BENCH_perf.json files carry),
   * the wall-time overhead of telemetry=1 (stall attribution) relative
-    to the plain fast path, gated at --max-telemetry-overhead (1.05x),
+    to a plain run, gated at --max-telemetry-overhead (1.05x),
   * the wall-time overhead of the run-event ledger (--events
-    --progress) relative to the plain fast path, gated at the same
-    budget; the ledger must terminate in run_end and must not change
-    any simulated statistic.
+    --progress) relative to a plain run, gated at the same budget; the
+    ledger must terminate in run_end and must not change any simulated
+    statistic.
 
 Before the simulator benches it runs bench/micro_simd — the SIMD lane
 kernels against their scalar twins — and fails if the geometric mean
@@ -28,14 +26,13 @@ implementation (sse2/avx2/neon/scalar) they measured.
 The report also embeds host metadata (CPU model, logical and physical
 core counts, compiler) so committed BENCH_perf.json numbers carry
 their provenance, and --baseline FILE arms a regression gate: the run
-fails if the geomean fast-path Mcycles/s drops more than
---max-regression (default 15%) below the baseline file's.
+fails if the geomean Mcycles/s drops more than --max-regression
+(default 15%) below the baseline file's.
 
-The run doubles as an end-to-end A/B check: every per-frame statistics
-line printed by sim_cli (cycles, quads, cache/DRAM accesses, energy)
-must be byte-identical between the two runs; any divergence fails the
-script. Wall time is taken as the best of --repeat attempts to damp
-scheduler noise.
+Every per-frame statistics line printed by sim_cli (cycles, quads,
+cache/DRAM accesses, energy) must be byte-identical across repeats and
+under telemetry and the ledger; any divergence fails the script. Wall
+time is taken as the best of --repeat attempts to damp scheduler noise.
 
 Usage:
   python3 scripts/run_perf.py [--build-dir build] [--out BENCH_perf.json]
@@ -66,11 +63,9 @@ from pathlib import Path
 # on purpose — a 64-bit lane loop measured slower on every backend).
 SIMD_PAIRS = [
     ("BM_Rasterize/scalar", "BM_Rasterize/lanes"),
-    ("BM_LodBatch/scalar", "BM_LodBatch/lanes"),
     ("BM_Footprints/bilinear_scalar", "BM_Footprints/bilinear_lanes"),
     ("BM_Footprints/trilinear_scalar", "BM_Footprints/trilinear_lanes"),
     ("BM_TileOrder/zorder_scalar", "BM_TileOrder/zorder_lanes"),
-    ("BM_TileOrder/hilbert_scalar", "BM_TileOrder/hilbert_lanes"),
     ("BM_ChecksumSerial", "BM_ChecksumStriped"),
 ]
 
@@ -82,8 +77,8 @@ SUMMARY_RE = re.compile(
 FRAME_RE = re.compile(r"^\S+ frame \d+: ")
 
 
-def run_sim(sim_cli, alias, frames, width, height, fastpath,
-            telemetry=0, phases=False, events=False):
+def run_sim(sim_cli, alias, frames, width, height, telemetry=0,
+            phases=False, events=False):
     cmd = [
         str(sim_cli),
         f"--bench={alias}",
@@ -91,7 +86,6 @@ def run_sim(sim_cli, alias, frames, width, height, fastpath,
         "--preset=dtexl",
         f"width={width}",
         f"height={height}",
-        f"fastpath={fastpath}",
         f"telemetry={telemetry}",
         # Perf numbers must measure the simulator, never the result
         # cache: a warm cache would skip simulation entirely (see
@@ -167,12 +161,12 @@ def phase_breakdown(stats_path):
     return out
 
 
-def best_of(sim_cli, alias, frames, width, height, fastpath, repeat,
-            telemetry=0, phases=False):
+def best_of(sim_cli, alias, frames, width, height, repeat,
+            phases=False):
     best = None
     for _ in range(repeat):
-        r = run_sim(sim_cli, alias, frames, width, height, fastpath,
-                    telemetry, phases=phases)
+        r = run_sim(sim_cli, alias, frames, width, height,
+                    phases=phases)
         if best is None or r["wall_ms"] < best["wall_ms"]:
             if best is not None and r["frame_lines"] != best["frame_lines"]:
                 sys.exit(f"{alias}: non-deterministic frame stats "
@@ -239,7 +233,7 @@ def host_metadata(build_dir):
 
 
 def telemetry_overhead(sim_cli, alias, frames, width, height, repeat,
-                       fast_lines):
+                       plain_lines):
     """Wall-time ratio of telemetry=1 over telemetry=0.
 
     The two runs of each repeat execute back to back and only the
@@ -250,11 +244,10 @@ def telemetry_overhead(sim_cli, alias, frames, width, height, repeat,
     """
     best = None
     for _ in range(max(repeat, 2)):
-        off = run_sim(sim_cli, alias, frames, width, height, 1)
-        on = run_sim(sim_cli, alias, frames, width, height, 1,
-                     telemetry=1)
-        if on["frame_lines"] != fast_lines:
-            print("FAST:\n" + "\n".join(fast_lines))
+        off = run_sim(sim_cli, alias, frames, width, height)
+        on = run_sim(sim_cli, alias, frames, width, height, telemetry=1)
+        if on["frame_lines"] != plain_lines:
+            print("PLAIN:\n" + "\n".join(plain_lines))
             print("TELEMETRY:\n" + "\n".join(on["frame_lines"]))
             sys.exit(f"{alias}: telemetry=1 changed simulated stats")
         ratio = on["wall_ms"] / off["wall_ms"]
@@ -264,7 +257,7 @@ def telemetry_overhead(sim_cli, alias, frames, width, height, repeat,
 
 
 def events_overhead(sim_cli, alias, frames, width, height, repeat,
-                    fast_lines):
+                    plain_lines):
     """Wall-time ratio of --events --progress over a plain run.
 
     Same paired-ratio methodology as telemetry_overhead(); also
@@ -272,11 +265,10 @@ def events_overhead(sim_cli, alias, frames, width, height, repeat,
     """
     best = None
     for _ in range(max(repeat, 2)):
-        off = run_sim(sim_cli, alias, frames, width, height, 1)
-        on = run_sim(sim_cli, alias, frames, width, height, 1,
-                     events=True)
-        if on["frame_lines"] != fast_lines:
-            print("FAST:\n" + "\n".join(fast_lines))
+        off = run_sim(sim_cli, alias, frames, width, height)
+        on = run_sim(sim_cli, alias, frames, width, height, events=True)
+        if on["frame_lines"] != plain_lines:
+            print("PLAIN:\n" + "\n".join(plain_lines))
             print("EVENTS:\n" + "\n".join(on["frame_lines"]))
             sys.exit(f"{alias}: --events changed simulated stats")
         ratio = on["wall_ms"] / off["wall_ms"]
@@ -348,8 +340,8 @@ def main():
     ap.add_argument("--baseline", default=None,
                     help="committed BENCH_perf.json to gate against")
     ap.add_argument("--max-regression", type=float, default=0.15,
-                    help="fail if geomean fast-path Mcycles/s drops "
-                         "more than this fraction below --baseline")
+                    help="fail if geomean Mcycles/s drops more than "
+                         "this fraction below --baseline")
     ap.add_argument("--min-simd-speedup", type=float, default=1.3,
                     help="fail if the micro_simd lanes/scalar geomean "
                          "speedup drops below this ratio")
@@ -381,54 +373,34 @@ def main():
             continue
         print(f"== {alias} ({args.frames} frames at "
               f"{args.width}x{args.height}) ==", flush=True)
-        fast = best_of(sim_cli, alias, args.frames, args.width,
-                       args.height, 1, args.repeat, phases=True)
-        ref = best_of(sim_cli, alias, args.frames, args.width,
-                      args.height, 0, args.repeat)
-
-        # End-to-end bit-exactness gate: the simulated statistics of
-        # the two paths must be byte-identical.
-        if fast["frame_lines"] != ref["frame_lines"]:
-            print("FAST:\n" + "\n".join(fast["frame_lines"]))
-            print("REF:\n" + "\n".join(ref["frame_lines"]))
-            sys.exit(f"{alias}: fast/reference statistics diverge")
-        if fast["cycles"] != ref["cycles"]:
-            sys.exit(f"{alias}: cycle counts diverge")
-
+        run = best_of(sim_cli, alias, args.frames, args.width,
+                      args.height, args.repeat, phases=True)
         overhead = telemetry_overhead(sim_cli, alias, args.frames,
                                       args.width, args.height,
-                                      args.repeat, fast["frame_lines"])
+                                      args.repeat, run["frame_lines"])
         ev_overhead = events_overhead(sim_cli, alias, args.frames,
                                       args.width, args.height,
-                                      args.repeat, fast["frame_lines"])
+                                      args.repeat, run["frame_lines"])
 
-        speedup = ref["wall_ms"] / fast["wall_ms"]
         entry = {
             "alias": alias,
             "frames": args.frames,
-            "sim_cycles": fast["cycles"],
-            "wall_ms_fast": fast["wall_ms"],
-            "wall_ms_ref": ref["wall_ms"],
-            "mcycles_per_s_fast": fast["cycles"] / fast["wall_ms"] / 1e3,
-            "mcycles_per_s_ref": ref["cycles"] / ref["wall_ms"] / 1e3,
-            "speedup": speedup,
+            "sim_cycles": run["cycles"],
+            "wall_ms_fast": run["wall_ms"],
+            "mcycles_per_s_fast": run["cycles"] / run["wall_ms"] / 1e3,
             "telemetry_overhead": overhead,
             "events_overhead": ev_overhead,
-            "stats_bit_identical": True,
-            "phase_wall_ms": fast["phase_wall_ms"],
+            "phase_wall_ms": run["phase_wall_ms"],
         }
         benches.append(entry)
-        print(f"   fast {fast['wall_ms']:9.1f} ms "
+        print(f"   {run['wall_ms']:9.1f} ms "
               f"({entry['mcycles_per_s_fast']:6.2f} Mcycles/s) | "
-              f"ref {ref['wall_ms']:9.1f} ms | "
-              f"speedup {speedup:.2f}x | "
               f"telemetry {overhead:.3f}x | "
               f"events {ev_overhead:.3f}x", flush=True)
 
     if not benches:
         sys.exit("no benchmarks selected")
 
-    speedups = [b["speedup"] for b in benches]
     overheads = [b["telemetry_overhead"] for b in benches]
     report = {
         "generated_by": "scripts/run_perf.py",
@@ -444,8 +416,6 @@ def main():
         },
         "simd": simd,
         "benches": benches,
-        "max_speedup": max(speedups),
-        "geomean_speedup": geomean(speedups),
         "geomean_mcycles_per_s_fast": geomean(
             [b["mcycles_per_s_fast"] for b in benches]
         ),
@@ -455,9 +425,10 @@ def main():
         ),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}: max speedup {report['max_speedup']:.2f}x, "
-          f"geomean {report['geomean_speedup']:.2f}x, telemetry "
-          f"overhead {report['geomean_telemetry_overhead']:.3f}x")
+    print(f"wrote {args.out}: geomean "
+          f"{report['geomean_mcycles_per_s_fast']:.2f} Mcycles/s, "
+          f"telemetry overhead "
+          f"{report['geomean_telemetry_overhead']:.3f}x")
 
     if baseline is not None:
         base_benches = {b["alias"]: b for b in baseline["benches"]}
@@ -480,7 +451,7 @@ def main():
               f"Mcycles/s geomean ({ratio:.2f}x, floor "
               f"{1.0 - args.max_regression:.2f}x)")
         if ratio < 1.0 - args.max_regression:
-            print(f"ERROR: geomean fast-path throughput regressed "
+            print(f"ERROR: geomean throughput regressed "
                   f"{(1.0 - ratio) * 100:.1f}% vs {args.baseline} "
                   f"(budget {args.max_regression * 100:.0f}%)",
                   file=sys.stderr)
@@ -497,10 +468,6 @@ def main():
               f"{report['geomean_events_overhead']:.3f}x exceeds the "
               f"{args.max_telemetry_overhead:.2f}x budget",
               file=sys.stderr)
-        return 1
-    if report["max_speedup"] < 1.5:
-        print("WARNING: fast path is below the 1.5x target on every "
-              "bench", file=sys.stderr)
         return 1
     return 0
 

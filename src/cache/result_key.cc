@@ -37,8 +37,6 @@ hashCacheConfig(Fnv1a64 &h, std::uint32_t tag_base,
     h.u32(tag_base + 3); h.u32(c.hitLatency);
     h.u32(tag_base + 4); h.u32(c.numMshrs);
     h.u32(tag_base + 5); h.u32(c.prefetchNextLine ? 1 : 0);
-    // c.fastPath excluded: simulator-path selector, bit-exact A/B
-    // (tests/test_fastpath_equiv.cc).
 }
 
 } // namespace
@@ -78,8 +76,8 @@ hashConfig(const GpuConfig &cfg)
     h.u32(142); h.u32(cfg.dram.rowHitLatency);
     h.u32(143); h.u32(cfg.dram.rowMissLatency);
     h.u32(144); h.u32(cfg.dram.bytesPerCycle);
-    // Excluded host-execution knobs (see result_key.hh): simFastPath,
-    // geomThreads, rasterThreads, simdMode, watchdogCycles, *.fastPath.
+    // Excluded host-execution knobs (see result_key.hh): geomThreads,
+    // rasterThreads, simdMode, watchdogCycles.
     return h.value();
 }
 

@@ -46,8 +46,6 @@ struct ResultKey
  * proven bit-identical by the test suite are deliberately EXCLUDED so
  * cache entries and checkpoints are shared across them:
  *
- *   simFastPath, CacheConfig::fastPath, DramConfig::fastPath
- *       (tests/test_fastpath_equiv.cc),
  *   geomThreads, rasterThreads (inert; validate() pins both to 1),
  *   simdMode (tests/test_simd.cc),
  *   watchdogCycles (a hang guard; never changes a completed result).

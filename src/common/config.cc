@@ -1,5 +1,7 @@
 #include "common/config.hh"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -107,10 +109,11 @@ GpuConfig::validate() const
     // bad job in a batch fails alone (core/engine.cc).
     if (clockHz == 0)
         throwConfigError("clockHz must be positive");
-    if (screenWidth == 0 || screenHeight == 0)
+    if (screenWidth == 0 || screenHeight == 0 ||
+        screenWidth > kMaxScreenSide || screenHeight > kMaxScreenSide)
         throwConfigError(
-            "screen resolution %ux%u: width and height must be >= 1",
-            screenWidth, screenHeight);
+            "screen resolution %ux%u: width and height must be in "
+            "[1, %u]", screenWidth, screenHeight, kMaxScreenSide);
     if (tileSize == 0 || tileSize % 2 != 0)
         throwConfigError(
             "tile size %u: must be a positive multiple of 2 "
@@ -271,15 +274,44 @@ toString(WarpSched w)
 
 namespace {
 
-std::uint32_t
-parseUint(const std::string &key, const std::string &value)
+/**
+ * Parse a non-negative decimal option value. strtoull alone accepts a
+ * leading '-' or whitespace (negating modulo 2^64) and saturates on
+ * overflow; both would silently rewrite the value, so both are
+ * rejected naming the key.
+ */
+std::uint64_t
+parseU64(const std::string &key, const std::string &value)
 {
+    if (value.empty() || value[0] < '0' || value[0] > '9')
+        fatal("option %s: '%s' is not a non-negative number",
+              key.c_str(), value.c_str());
+    errno = 0;
     char *end = nullptr;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (*end != '\0')
         fatal("option %s: '%s' is not a number", key.c_str(),
               value.c_str());
-    return static_cast<std::uint32_t>(v);
+    if (errno == ERANGE)
+        fatal("option %s: %s is out of range", key.c_str(),
+              value.c_str());
+    return v;
+}
+
+/**
+ * parseU64() for a 32-bit field holding value * @p scale (the byte
+ * size of a *_kib option): values whose product overflows 32 bits are
+ * rejected instead of wrapping.
+ */
+std::uint32_t
+parseUint(const std::string &key, const std::string &value,
+          std::uint32_t scale = 1)
+{
+    const std::uint64_t v = parseU64(key, value);
+    if (v > UINT32_MAX / scale)
+        fatal("option %s: %s is out of range (max %u)", key.c_str(),
+              value.c_str(), UINT32_MAX / scale);
+    return static_cast<std::uint32_t>(v * scale);
 }
 
 bool
@@ -334,11 +366,9 @@ applyConfigOption(GpuConfig &cfg, const std::string &key,
     } else if (key == "tile") {
         cfg.tileSize = parseUint(key, value);
     } else if (key == "l1tex_kib") {
-        cfg.textureCache.sizeBytes = parseUint(key, value) * 1024;
+        cfg.textureCache.sizeBytes = parseUint(key, value, 1024);
     } else if (key == "l2_kib") {
-        cfg.l2Cache.sizeBytes = parseUint(key, value) * 1024;
-    } else if (key == "fastpath") {
-        cfg.simFastPath = parseBool(key, value);
+        cfg.l2Cache.sizeBytes = parseUint(key, value, 1024);
     } else if (key == "telemetry") {
         cfg.telemetryLevel = parseUint(key, value);
     } else if (key == "sample_cycles") {
@@ -346,13 +376,7 @@ applyConfigOption(GpuConfig &cfg, const std::string &key,
     } else if (key == "simd") {
         cfg.simdMode = simdModeFromString(value);
     } else if (key == "watchdog_cycles") {
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0')
-            fatal("option watchdog_cycles: '%s' is not a number "
-                  "(cycles; 0 disables the watchdog)", value.c_str());
-        cfg.watchdogCycles = v;
+        cfg.watchdogCycles = parseU64(key, value);  // 0 disables
     } else {
         fatal("unknown config option '%s'", key.c_str());
     }

@@ -16,6 +16,14 @@
 
 namespace dtexl {
 
+/**
+ * Largest screen width or height validate() accepts: 8x the Table II
+ * width. A larger value is a typo or a wrapped negative, and would ask
+ * for framebuffer and per-tile arrays beyond any host's memory; it
+ * fails as a named config error instead.
+ */
+constexpr std::uint32_t kMaxScreenSide = 16384;
+
 /** Geometry/size/latency parameters of one cache (Table II rows). */
 struct CacheConfig
 {
@@ -24,16 +32,6 @@ struct CacheConfig
     std::uint32_t ways = 4;
     std::uint32_t hitLatency = 1;   ///< cycles
     std::uint32_t numMshrs = 16;    ///< outstanding misses
-    /**
-     * Simulator implementation selector, not a hardware parameter:
-     * true uses the optimized hot path (one-entry last-line-hit fast
-     * path in front of the way loop, contiguous port-window storage);
-     * false uses the original straight-line reference implementation.
-     * The two are bit-exact (tests/test_fastpath_equiv.cc); the
-     * reference path exists only to verify that, mirroring the
-     * engine's rebuild-pipeline-each-frame knob.
-     */
-    bool fastPath = true;
     /**
      * Next-line prefetch on demand miss (the decoupled-access
      * direction of Arnau et al. [2], cited by the paper as orthogonal
@@ -53,8 +51,6 @@ struct DramConfig
     std::uint32_t rowHitLatency = 50;    ///< cycles, open-row access
     std::uint32_t rowMissLatency = 100;  ///< cycles, row activate + access
     std::uint32_t bytesPerCycle = 16;    ///< channel bandwidth
-    /** Simulator hot-path selector; see CacheConfig::fastPath. */
-    bool fastPath = true;
 };
 
 /**
@@ -102,18 +98,6 @@ struct GpuConfig
      * saving framebuffer write bandwidth — ARM Mali's technique.
      */
     bool transactionElimination = false;
-    /**
-     * Master simulator hot-path knob (not a modelled-hardware
-     * parameter). True selects the optimized per-cycle simulation
-     * path everywhere — cache lookup fast path, contiguous
-     * port-window storage and the raster pipeline's pooled quad/flush
-     * arenas. False selects the original reference implementations.
-     * Both produce bit-identical FrameStats and
-     * imageHash (enforced by tests/test_fastpath_equiv.cc); toggle
-     * with the `fastpath` key of applyConfigOption() or
-     * `--reference-path` on the bench binaries for A/B validation.
-     */
-    bool simFastPath = true;
     /**
      * Telemetry knob (not modelled hardware; observation-only, results
      * are bit-identical at any level): 0 = off, 1 = per-unit stall/busy
@@ -207,10 +191,11 @@ GpuConfig makeUpperBoundConfig();
 /**
  * Apply a textual "key=value" option to a configuration (the CLI
  * driver's interface). Supported keys: grouping, order, assignment,
- * decoupled, hiz, warps, fifo, width, height, tile, l1tex_kib,
- * l2_kib, fastpath, telemetry, sample_cycles, watchdog_cycles,
- * simd. Throws SimError{UserInput}
- * on unknown keys or bad values.
+ * decoupled, hiz, prefetch, te, warp_sched, warps, fifo, width,
+ * height, tile, l1tex_kib, l2_kib, telemetry, sample_cycles, simd,
+ * watchdog_cycles. Numeric values must be non-negative decimals that
+ * fit 32 bits (64 for watchdog_cycles; *_kib also in bytes). Throws
+ * SimError{UserInput} naming the key on unknown keys or bad values.
  */
 void applyConfigOption(GpuConfig &cfg, const std::string &key,
                        const std::string &value);

@@ -137,18 +137,6 @@ cmpLtI4(I32x4 a, I32x4 b)
 /** Round-to-nearest-even int->float, same as static_cast<float>. */
 inline F32x4 toF4(I32x4 a) { return {_mm_cvtepi32_ps(a.v)}; }
 
-/**
- * In-place 4x4 transpose: lane j of output i is lane i of input j.
- * Pure data movement, so trivially exact; the SoA gather step of
- * batched kernels (QuadStream::lod4) uses it to turn four contiguous
- * per-quad loads into across-quad lanes without a scalar roundtrip.
- */
-inline void
-transposeF4(F32x4 &a, F32x4 &b, F32x4 &c, F32x4 &d)
-{
-    _MM_TRANSPOSE4_PS(a.v, b.v, c.v, d.v);
-}
-
 inline U32x4 splatU4(std::uint32_t x)
 {
     return {_mm_set1_epi32(static_cast<std::int32_t>(x))};
@@ -264,21 +252,6 @@ inline F32x4
 minStdF4(F32x4 a, F32x4 b)
 {
     return selectF4(cmpLtF4(b, a), b, a);
-}
-
-inline void
-transposeF4(F32x4 &a, F32x4 &b, F32x4 &c, F32x4 &d)
-{
-    const float32x4x2_t ab = vtrnq_f32(a.v, b.v);
-    const float32x4x2_t cd = vtrnq_f32(c.v, d.v);
-    a.v = vcombine_f32(vget_low_f32(ab.val[0]),
-                       vget_low_f32(cd.val[0]));
-    b.v = vcombine_f32(vget_low_f32(ab.val[1]),
-                       vget_low_f32(cd.val[1]));
-    c.v = vcombine_f32(vget_high_f32(ab.val[0]),
-                       vget_high_f32(cd.val[0]));
-    d.v = vcombine_f32(vget_high_f32(ab.val[1]),
-                       vget_high_f32(cd.val[1]));
 }
 
 inline I32x4 splatI4(std::int32_t x) { return {vdupq_n_s32(x)}; }
@@ -427,18 +400,6 @@ inline F32x4
 minStdF4(F32x4 a, F32x4 b)
 {
     return selectF4(cmpLtF4(b, a), b, a);
-}
-
-inline void
-transposeF4(F32x4 &a, F32x4 &b, F32x4 &c, F32x4 &d)
-{
-    F32x4 *rows[4] = {&a, &b, &c, &d};
-    for (int i = 0; i < 4; ++i)
-        for (int j = i + 1; j < 4; ++j) {
-            const float t = rows[i]->v[j];
-            rows[i]->v[j] = rows[j]->v[i];
-            rows[j]->v[i] = t;
-        }
 }
 
 inline I32x4 splatI4(std::int32_t x) { return {{x, x, x, x}}; }

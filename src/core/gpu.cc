@@ -144,18 +144,9 @@ GpuSimulator::renderFrame()
     // Each frame restarts the cycle count at zero: reset in-flight
     // timing state (ports, MSHRs, DRAM banks) while keeping cache
     // contents warm, and reinitialize the pipeline's per-frame state
-    // (barriers, banks, FIFOs, cores, assigner) in place. The legacy
-    // heap-rebuild path is kept, behind a knob, as the bit-exactness
-    // reference.
+    // (barriers, banks, FIFOs, cores, assigner) in place.
     mem->resetTiming();
-    if (rebuildEachFrame) {
-        pipeline = std::make_unique<RasterPipeline>(
-            cfg, *mem, *scene, *fb, &flushSignatures);
-        if (tel->counters())
-            pipeline->setTelemetry(tel.get());
-    } else {
-        pipeline->beginFrame();
-    }
+    pipeline->beginFrame();
 
     // Snapshot memory counters so per-frame deltas are exact even when
     // frames are rendered back to back.

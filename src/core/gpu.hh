@@ -8,9 +8,9 @@
  * The frame loop is phase-structured: renderFrame() runs the
  * GeometryPhase, then the RasterPipeline, each in its own cycle-0
  * epoch, and reuses all heavy pipeline state in place across frames
- * (RasterPipeline::beginFrame()) instead of heap-rebuilding it. Each
- * phase reports sim-cycle and wall-time counters into an optional
- * StatRegistry and emits Chrome-trace spans when tracing is enabled.
+ * (RasterPipeline::beginFrame()). Each phase reports sim-cycle and
+ * wall-time counters into an optional StatRegistry and emits
+ * Chrome-trace spans when tracing is enabled.
  */
 
 #ifndef DTEXL_CORE_GPU_HH
@@ -67,24 +67,11 @@ class GpuSimulator
                          const std::string &prefix = "engine");
 
     /**
-     * Legacy equivalence knob: when enabled, renderFrame() destroys
-     * and reconstructs the RasterPipeline each frame, as the
-     * pre-phase-structured simulator did, instead of resetting it in
-     * place. The two paths are bit-exact (tests/test_engine.cc); the
-     * rebuild path exists only to verify that.
-     */
-    void setRebuildPipelineEachFrame(bool rebuild)
-    {
-        rebuildEachFrame = rebuild;
-    }
-
-    /**
      * Serialize all cross-frame warm state at a frame boundary: cache
      * tag arrays, transaction-elimination flush signatures (sorted for
      * a canonical byte stream), and cumulative telemetry. Everything
-     * else is rebuilt per frame (proven by the rebuild-each-frame
-     * equivalence path), so restoring exactly this state resumes a run
-     * bit-identically (tests/test_checkpoint.cc).
+     * else is reset per frame, so restoring exactly this state resumes
+     * a run bit-identically (tests/test_checkpoint.cc).
      */
     void saveWarmState(ByteWriter &w) const;
 
@@ -129,7 +116,6 @@ class GpuSimulator
      */
     StatSet *geomStats = nullptr;
     StatSet *rasterStats = nullptr;
-    bool rebuildEachFrame = false;
 };
 
 } // namespace dtexl

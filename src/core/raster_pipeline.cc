@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 
 #include "common/fault_inject.hh"
@@ -169,16 +168,10 @@ RasterPipeline::flushBank(PipeState &ps, Coord2 tile_coord,
                           const std::vector<Coord2> &slot_to_quad,
                           Cycle start, FrameStats &fs)
 {
-    // Copy the bank's pixels into the frame image and count how many
-    // of each framebuffer line's pixels this bank produces. The fast
-    // path collects one address per pixel into a pooled scratch vector
-    // and sorts it; the reference path counts in a std::map. Both
-    // visit the distinct lines in ascending address order with the
-    // same per-line pixel counts, so the timed writes are identical.
-    const bool fast = cfg.simFastPath;
-    std::map<Addr, std::uint32_t> line_pixels;
-    if (fast)
-        flushAddrs.clear();
+    // Copy the bank's pixels into the frame image and collect one
+    // framebuffer line address per pixel into a pooled scratch vector;
+    // sorting it groups each line's pixels, in ascending address order.
+    flushAddrs.clear();
     std::uint64_t crc = 0xcbf29ce484222325ull;
     const std::int32_t px0 = tile_coord.x *
                              static_cast<std::int32_t>(cfg.tileSize);
@@ -203,10 +196,7 @@ RasterPipeline::flushBank(PipeState &ps, Coord2 tile_coord,
                 fb.pixelAddr(static_cast<std::uint32_t>(px),
                              static_cast<std::uint32_t>(py)) &
                 ~Addr{cfg.tileCache.lineBytes - 1};
-            if (fast)
-                flushAddrs.push_back(line);
-            else
-                ++line_pixels[line];
+            flushAddrs.push_back(line);
         }
     }
 
@@ -237,30 +227,20 @@ RasterPipeline::flushBank(PipeState &ps, Coord2 tile_coord,
     const std::uint32_t full = cfg.tileCache.lineBytes / 4;
     Cycle issue = start;
     Cycle done = start;
-    auto emit_line = [&](Addr line, std::uint32_t pixels) {
-        done = std::max(done, mem.tileCache().writeLine(line, issue));
+    std::sort(flushAddrs.begin(), flushAddrs.end());
+    for (std::size_t i = 0; i < flushAddrs.size();) {
+        std::size_t j = i + 1;
+        while (j < flushAddrs.size() && flushAddrs[j] == flushAddrs[i])
+            ++j;
+        done = std::max(done,
+                        mem.tileCache().writeLine(flushAddrs[i], issue));
         ++issue;
-        if (pixels < full) {
+        if (j - i < full) {
             ++issue;  // RMW merge occupies an extra slot
             ++*hot.flushPartialLines;
         }
         ++*hot.flushLineWrites;
-    };
-    if (fast) {
-        std::sort(flushAddrs.begin(), flushAddrs.end());
-        for (std::size_t i = 0; i < flushAddrs.size();) {
-            std::size_t j = i + 1;
-            while (j < flushAddrs.size() &&
-                   flushAddrs[j] == flushAddrs[i]) {
-                ++j;
-            }
-            emit_line(flushAddrs[i],
-                      static_cast<std::uint32_t>(j - i));
-            i = j;
-        }
-    } else {
-        for (const auto &[line, pixels] : line_pixels)
-            emit_line(line, pixels);
+        i = j;
     }
 
     // Reset the bank for its next subtile.

@@ -40,7 +40,7 @@ namespace dtexl {
 /**
  * Cross-frame flush signatures for transaction elimination: CRC of the
  * last content each (tile, subtile) flushed. Owned by the simulator so
- * it survives the per-frame pipeline rebuild.
+ * it survives the per-frame pipeline reset.
  */
 struct FlushSignatures
 {
@@ -172,15 +172,15 @@ class RasterPipeline
     std::array<std::vector<Coord2>, kNumSubtiles> slotToQuad;
 
     /**
-     * Pooled per-frame scratch (simFastPath spirit, but value-neutral:
-     * contents are fully rewritten per tile, so reusing capacity
-     * cannot change results). quadArena holds the current tile's
-     * rasterized quads in SoA layout (each pass touches only the
-     * field arrays it needs); beginFrame() resets length, keeping
-     * capacity, so steady-state frames rasterize without heap traffic.
+     * Pooled per-frame scratch (value-neutral: contents are fully
+     * rewritten per tile, so reusing capacity cannot change results).
+     * quadArena holds the current tile's rasterized quads in SoA
+     * layout (each pass touches only the field arrays it needs);
+     * beginFrame() resets length, keeping capacity, so steady-state
+     * frames rasterize without heap traffic.
      */
     QuadStream quadArena;
-    /** flushBank() fast-path scratch: one line address per pixel. */
+    /** flushBank() scratch: one line address per pixel. */
     std::vector<Addr> flushAddrs;
 
     StatSet stats_{"raster_pipeline"};

@@ -168,11 +168,7 @@ struct ShaderCore::CoreRun
      * Resolve every quad's sampling level of detail up front, one
      * value per batch position. Texture-less quads keep 0.0f —
      * sampleQuad never reads them — so this never touches their
-     * texture binding. Under --simd=auto four textured quads resolve
-     * per lane op (QuadStream::lod4); the scalar path is the original
-     * per-warp expression. Both produce bit-identical levels
-     * (tests/test_simd.cc), so admission, issue and memory traffic
-     * are unchanged by the batching.
+     * texture binding.
      */
     void
     resolveLods()
@@ -180,33 +176,11 @@ struct ShaderCore::CoreRun
         const std::size_t n = quads->size();
         lods.assign(n, 0.0f);
         const Scene &sc = *core->scene;
-        std::vector<std::uint32_t> pos;  // textured batch positions
-        pos.reserve(n);
         for (std::size_t b = 0; b < n; ++b) {
             const std::uint32_t qi = (*quads)[b];
-            if (stream->prim(qi)->shader.texSamples > 0)
-                pos.push_back(static_cast<std::uint32_t>(b));
-        }
-        std::size_t b = 0;
-        if (core->cfg.simdMode == SimdMode::Auto) {
-            for (; b + 4 <= pos.size(); b += 4) {
-                std::uint32_t idx[4], side[4];
-                for (int j = 0; j < 4; ++j) {
-                    const std::uint32_t qi = (*quads)[pos[b + j]];
-                    idx[j] = qi;
-                    side[j] =
-                        sc.texture(stream->prim(qi)->texture).side();
-                }
-                float out[4];
-                stream->lod4(idx, side, out);
-                for (int j = 0; j < 4; ++j)
-                    lods[pos[b + j]] = out[j];
-            }
-        }
-        for (; b < pos.size(); ++b) {
-            const std::uint32_t qi = (*quads)[pos[b]];
-            lods[pos[b]] = stream->lod(
-                qi, sc.texture(stream->prim(qi)->texture).side());
+            const Primitive *prim = stream->prim(qi);
+            if (prim->shader.texSamples > 0)
+                lods[b] = stream->lod(qi, sc.texture(prim->texture).side());
         }
     }
 

@@ -119,9 +119,8 @@ class ShaderCore
 
         /**
          * Sampling level of detail, resolved for the whole batch up
-         * front (CoreRun::resolveLods — 4 quads per lane op under
-         * --simd=auto) instead of per warp on its first texture
-         * instruction. 0.0f for texture-less quads (never read).
+         * front (CoreRun::resolveLods) instead of per warp on its first
+         * texture instruction. 0.0f for texture-less quads (never read).
          */
         float lod = 0.0f;
 

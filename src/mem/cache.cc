@@ -13,7 +13,7 @@ Cache::Cache(std::string name, const CacheConfig &cfg,
              std::uint32_t accesses_per_cycle, MemLevel &next)
     : name(std::move(name)), cfg(cfg), portsPerCycle(accesses_per_cycle),
       nextLevel(next), lines(std::size_t{cfg.numSets()} * cfg.ways),
-      port(accesses_per_cycle * kPortWindow, kPortWindow, cfg.fastPath),
+      port(accesses_per_cycle * kPortWindow, kPortWindow),
       stats_(this->name)
 {
     dtexl_assert(portsPerCycle > 0);
@@ -162,8 +162,7 @@ Cache::lookup(Addr line_addr, AccessType type)
     // One-entry last-hit filter: a line address lives in exactly one
     // way of exactly one set, so a tag match here returns precisely
     // the line the way loop below would find.
-    if (cfg.fastPath && lastHit && lastHit->valid &&
-        lastHit->tag == line_addr) {
+    if (lastHit && lastHit->valid && lastHit->tag == line_addr) {
         lastHit->lruStamp = ++lruCounter;
         if (type == AccessType::Write)
             lastHit->dirty = true;

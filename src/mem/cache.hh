@@ -161,9 +161,9 @@ class Cache : public MemLevel
 
     /**
      * One-entry most-recently-hit filter checked in front of the way
-     * loop (fast path only). A line address lives in exactly one way
-     * of exactly one set, so a tag match here returns precisely the
-     * line the way loop would find — bit-exact by construction.
+     * loop. A line address lives in exactly one way of exactly one
+     * set, so a tag match here returns precisely the line the way
+     * loop would find — bit-exact by construction.
      */
     Line *lastHit = nullptr;
 

@@ -10,8 +10,7 @@ Dram::Dram(const DramConfig &cfg)
     : cfg(cfg), banks(cfg.numBanks),
       channel(kChannelWindow,
               kChannelWindow *
-                  std::max<Cycle>(1, 64 / cfg.bytesPerCycle),
-              cfg.fastPath),
+                  std::max<Cycle>(1, 64 / cfg.bytesPerCycle)),
       stats_("dram")
 {
     dtexl_assert(cfg.numBanks > 0 && cfg.rowBytes > 0);

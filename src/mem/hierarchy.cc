@@ -15,27 +15,15 @@ constexpr std::uint32_t kL2Ports = 2;
 
 MemHierarchy::MemHierarchy(const GpuConfig &cfg)
 {
-    // The master hot-path knob overrides the per-level selectors so
-    // one GpuConfig bit flips the whole hierarchy for A/B validation.
-    DramConfig dram_cfg = cfg.dram;
-    dram_cfg.fastPath = cfg.simFastPath;
-    CacheConfig l2_cfg = cfg.l2Cache;
-    l2_cfg.fastPath = cfg.simFastPath;
-    CacheConfig vtx_cfg = cfg.vertexCache;
-    vtx_cfg.fastPath = cfg.simFastPath;
-    CacheConfig tile_cfg = cfg.tileCache;
-    tile_cfg.fastPath = cfg.simFastPath;
-
-    dramModel = std::make_unique<Dram>(dram_cfg);
-    l2Cache = std::make_unique<Cache>("l2", l2_cfg, kL2Ports,
+    dramModel = std::make_unique<Dram>(cfg.dram);
+    l2Cache = std::make_unique<Cache>("l2", cfg.l2Cache, kL2Ports,
                                       *dramModel);
-    vertexL1 = std::make_unique<Cache>("l1vertex", vtx_cfg,
+    vertexL1 = std::make_unique<Cache>("l1vertex", cfg.vertexCache,
                                        kL1Ports, *l2Cache);
-    tileL1 = std::make_unique<Cache>("l1tile", tile_cfg, kL1Ports,
+    tileL1 = std::make_unique<Cache>("l1tile", cfg.tileCache, kL1Ports,
                                      *l2Cache);
     texL1s.reserve(cfg.numPipelines);
     CacheConfig tex_cfg = cfg.textureCache;
-    tex_cfg.fastPath = cfg.simFastPath;
     tex_cfg.prefetchNextLine |= cfg.texturePrefetch;
     for (std::uint32_t i = 0; i < cfg.numPipelines; ++i) {
         texL1s.push_back(std::make_unique<Cache>(

@@ -9,14 +9,11 @@
  * bandwidth invariant — at most `capacity` reservations within any
  * `window`-cycle span — by searching the recorded start times.
  *
- * Two implementations live behind the `fast_path` constructor flag
- * (see CacheConfig::fastPath): the reference one keeps the history in
- * a std::deque exactly as originally written, the fast one keeps it
- * in a contiguous ring (a vector with a dead prefix) so the binary
- * search and window scans run on cache-friendly memory, with an O(1)
- * append check for the common in-order case. Both grant bit-identical
- * start cycles for any request sequence (tests/test_rate_window.cc,
- * tests/test_fastpath_equiv.cc).
+ * The history is a contiguous ring (a vector with a dead prefix) so
+ * the binary search and window scans run on cache-friendly memory,
+ * with an O(1) append check for the common in-order case. The
+ * original std::deque formulation is kept as a differential model in
+ * tests/test_rate_window.cc.
  */
 
 #ifndef DTEXL_MEM_RATE_WINDOW_HH
@@ -38,12 +35,9 @@ class RateWindow
     /**
      * @param capacity  Reservations allowed per window.
      * @param window    Window length in cycles.
-     * @param fast_path Contiguous-storage implementation (default) or
-     *                  the deque reference implementation.
      */
-    RateWindow(std::uint32_t capacity, Cycle window,
-               bool fast_path = true)
-        : cap(capacity), win(window), fast(fast_path)
+    RateWindow(std::uint32_t capacity, Cycle window)
+        : cap(capacity), win(window)
     {
         dtexl_assert(capacity > 0 && window > 0);
     }
@@ -58,100 +52,20 @@ class RateWindow
      * @param now     Requested start cycle.
      * @param stalled Set true when the reservation had to be delayed.
      * @return Granted start cycle.
+     *
+     * `ring` holds the sorted history in [head, ring.size()), pruning
+     * advances `head`, and the dead prefix is compacted in bulk.
+     * Appends (the in-order common case) skip the binary search
+     * entirely.
      */
     Cycle
     reserve(Cycle now, bool &stalled)
-    {
-        return fast ? reserveFast(now, stalled)
-                    : reserveReference(now, stalled);
-    }
-
-    void
-    clear()
-    {
-        starts.clear();
-        ring.clear();
-        head = 0;
-    }
-
-  private:
-    /** Retained history, in windows behind the newest reservation. */
-    static constexpr Cycle kHorizonWindows = 64;
-
-    /** The original implementation, kept as the equivalence oracle. */
-    Cycle
-    reserveReference(Cycle now, bool &stalled)
     {
         // Bound the history by a time horizon: entries more than
         // kHorizonWindows windows older than the newest reservation
         // can no longer constrain any request we guarantee the
         // invariant for. Because granted density is at most cap/win,
         // this also bounds memory to ~kHorizonWindows * cap entries.
-        if (!starts.empty()) {
-            const Cycle newest = starts.back();
-            const Cycle horizon = win * kHorizonWindows;
-            while (!starts.empty() &&
-                   starts.front() + horizon < newest) {
-                starts.pop_front();
-            }
-        }
-
-        stalled = false;
-        Cycle start = now;
-        for (;;) {
-            // Inserting `start` must not create any run of cap+1
-            // reservations spanning fewer than `win` cycles. Examine
-            // every window of cap existing entries that could combine
-            // with `start`.
-            const auto pos = std::lower_bound(starts.begin(),
-                                              starts.end(), start);
-            const std::size_t idx =
-                static_cast<std::size_t>(pos - starts.begin());
-            bool violates = false;
-            Cycle retry = start;
-            // k = entries at or before `start` included in the run.
-            for (std::size_t k = 0; k <= cap; ++k) {
-                if (k > idx)
-                    break;  // not enough earlier entries
-                const std::size_t first = idx - k;
-                const std::size_t last = first + cap;  // cap existing
-                if (last > starts.size())
-                    continue;  // not enough later entries
-                // Run = entries [first, last) plus `start`.
-                const Cycle run_first =
-                    k > 0 ? std::min(starts[first], start) : start;
-                const Cycle run_last =
-                    last > first
-                        ? std::max(starts[last - 1], start)
-                        : start;
-                if (run_last - run_first < win) {
-                    violates = true;
-                    // Escape past the earliest entry of the crowd.
-                    retry = std::max(retry, run_first + win);
-                }
-            }
-            if (!violates) {
-                starts.insert(
-                    std::lower_bound(starts.begin(), starts.end(),
-                                     start),
-                    start);
-                return start;
-            }
-            stalled = true;
-            dtexl_assert(retry > start, "rate window failed to advance");
-            start = retry;
-        }
-    }
-
-    /**
-     * Same algorithm on contiguous storage: `ring` holds the sorted
-     * history in [head, ring.size()), pruning advances `head`, and the
-     * dead prefix is compacted in bulk. Appends (the in-order common
-     * case) skip the binary search entirely.
-     */
-    Cycle
-    reserveFast(Cycle now, bool &stalled)
-    {
         const std::size_t live = ring.size() - head;
         if (live > 0) {
             const Cycle newest = ring.back();
@@ -192,9 +106,11 @@ class RateWindow
             }
         }
         for (;;) {
+            // Inserting `start` must not create any run of cap+1
+            // reservations spanning fewer than `win` cycles. Examine
+            // every window of cap existing entries that could combine
+            // with `start`.
             const std::size_t n = ring.size() - head;
-            // Append fast path: nothing after `start`, so the only
-            // candidate run is `start` plus the newest cap entries.
             std::size_t idx;
             if (n == 0 || start >= base[n - 1]) {
                 idx = n;
@@ -204,13 +120,15 @@ class RateWindow
             }
             bool violates = false;
             Cycle retry = start;
+            // k = entries at or before `start` included in the run.
             for (std::size_t k = 0; k <= cap; ++k) {
                 if (k > idx)
-                    break;
+                    break;  // not enough earlier entries
                 const std::size_t first = idx - k;
-                const std::size_t last = first + cap;
+                const std::size_t last = first + cap;  // cap existing
                 if (last > n)
-                    continue;
+                    continue;  // not enough later entries
+                // Run = entries [first, last) plus `start`.
                 const Cycle run_first =
                     k > 0 ? std::min(base[first], start) : start;
                 const Cycle run_last =
@@ -218,6 +136,7 @@ class RateWindow
                                  : start;
                 if (run_last - run_first < win) {
                     violates = true;
+                    // Escape past the earliest entry of the crowd.
                     retry = std::max(retry, run_first + win);
                 }
             }
@@ -238,11 +157,20 @@ class RateWindow
         }
     }
 
+    void
+    clear()
+    {
+        ring.clear();
+        head = 0;
+    }
+
+  private:
+    /** Retained history, in windows behind the newest reservation. */
+    static constexpr Cycle kHorizonWindows = 64;
+
     std::uint32_t cap;
     Cycle win;
-    bool fast;
-    std::deque<Cycle> starts;   ///< reference history, sorted
-    std::vector<Cycle> ring;    ///< fast history; live part sorted
+    std::vector<Cycle> ring;    ///< history; live part sorted
     std::size_t head = 0;       ///< first live entry of `ring`
 };
 

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.hh"
 #include "raster/quad.hh"
 
 namespace dtexl {
@@ -125,58 +124,6 @@ class QuadStream
         const float fy = std::sqrt(dudy * dudy + dvdy * dvdy) * s;
         const float rho = std::max(fx, fy);
         return rho > 1.0f ? std::log2(rho) : 0.0f;
-    }
-
-    /**
-     * Lane twin of lod() for four quads at once (the shader cores
-     * resolve a whole batch's levels up front). Each lane computes
-     * exactly lod(idx[j], side[j]): the subs/muls/adds/sqrt/max run
-     * 4-wide with std::max semantics preserved (compare+select), and
-     * the log2 tail stays scalar per lane — libm's log2f has no
-     * bit-exact vector form, and rho > 1 lanes are the minority on
-     * mipmapped workloads. Bit-exactness is enforced by
-     * tests/test_simd.cc (LodBatchMatchesScalar).
-     */
-    void
-    lod4(const std::uint32_t idx[4], const std::uint32_t side[4],
-         float out[4]) const
-    {
-        // Gather with vector loads + a lane transpose instead of 24
-        // scalar element copies: each quad's four uv pairs are eight
-        // contiguous floats, so two loadF4 per quad and two 4x4
-        // transposes (exact data movement) produce the across-quad
-        // derivative operands.
-        F32x4 a[4], b[4];
-        float s[4];
-        for (int j = 0; j < 4; ++j) {
-            const auto *f = reinterpret_cast<const float *>(
-                &fragUv[std::size_t{idx[j]} * 4]);
-            a[j] = loadF4(f);      // u0 v0 u1 v1
-            b[j] = loadF4(f + 4);  // u2 v2 u3 v3
-            s[j] = static_cast<float>(side[j]);
-        }
-        transposeF4(a[0], a[1], a[2], a[3]);  // u0s v0s u1s v1s
-        transposeF4(b[0], b[1], b[2], b[3]);  // u2s v2s (u3s v3s unused)
-        const F32x4 dudx = a[2] - a[0];
-        const F32x4 dvdx = a[3] - a[1];
-        const F32x4 dudy = b[0] - a[0];
-        const F32x4 dvdy = b[1] - a[1];
-        const F32x4 sv = loadF4(s);
-        const F32x4 fx = sqrtF4(dudx * dudx + dvdx * dvdx) * sv;
-        const F32x4 fy = sqrtF4(dudy * dudy + dvdy * dvdy) * sv;
-        const F32x4 rho = maxStdF4(fx, fy);
-        // Ordered compare matches the scalar ternary exactly: NaN rho
-        // lanes compare false and yield 0.0f on both paths, so an
-        // all-clear mask lets magnified quads (the common mipmapped
-        // case) skip the four per-lane branches entirely.
-        if (moveMask4(cmpGtF4(rho, splatF4(1.0f))) == 0) {
-            storeF4(out, splatF4(0.0f));
-            return;
-        }
-        float r[4];
-        storeF4(r, rho);
-        for (int j = 0; j < 4; ++j)
-            out[j] = r[j] > 1.0f ? std::log2(r[j]) : 0.0f;
     }
 
     /** Materialize an AoS quad (tests, trace dumps). */

@@ -1,7 +1,6 @@
 #include "sfc/hilbert.hh"
 
 #include "common/log.hh"
-#include "common/simd.hh"
 
 namespace dtexl {
 
@@ -47,40 +46,6 @@ hilbertD2XY(std::uint32_t side, std::uint64_t d,
         y += s * ry;
         t /= 4;
     }
-}
-
-void
-hilbertD2XY4(std::uint32_t side, const std::uint32_t d[4],
-             std::uint32_t x[4], std::uint32_t y[4])
-{
-    dtexl_assert(isPow2(side), "hilbert side must be a power of two");
-    for (int j = 0; j < 4; ++j)
-        dtexl_assert(d[j] < side * side, "hilbert d out of range");
-    const U32x4 one = splatU4(1);
-    U32x4 t = makeU4(d[0], d[1], d[2], d[3]);
-    U32x4 xv = splatU4(0);
-    U32x4 yv = splatU4(0);
-    for (std::uint32_t s = 1; s < side; s *= 2) {
-        const U32x4 rx = shrU4(t, 1) & one;
-        const U32x4 ry = (t ^ rx) & one;
-        // rot(), lane form: where ry == 0, reflect (if rx == 1) and
-        // swap x/y. cmpEqU4 yields all-ones masks, so the reflected
-        // and swapped values route through bitwise selects.
-        const U32x4 ry0 = cmpEqU4(ry, splatU4(0));
-        const U32x4 refl = ry0 & cmpEqU4(rx, one);
-        const U32x4 sm1 = splatU4(s - 1);
-        xv = selectU4(refl, sm1 - xv, xv);
-        yv = selectU4(refl, sm1 - yv, yv);
-        const U32x4 nx = selectU4(ry0, yv, xv);
-        const U32x4 ny = selectU4(ry0, xv, yv);
-        // x += s * rx; y += s * ry — rx/ry are 0/1, so mask s in.
-        const U32x4 sv = splatU4(s);
-        xv = nx + (sv & cmpEqU4(rx, one));
-        yv = ny + (sv & cmpEqU4(ry, one));
-        t = shrU4(t, 2);
-    }
-    storeU4(x, xv);
-    storeU4(y, yv);
 }
 
 std::uint64_t

@@ -26,20 +26,6 @@ void hilbertD2XY(std::uint32_t side, std::uint64_t d,
                  std::uint32_t &x, std::uint32_t &y);
 
 /**
- * Lane twin of hilbertD2XY: convert four curve distances at once.
- * Pure integer shift/mask/select arithmetic, so the coordinates are
- * bit-identical to four scalar calls (tests/test_simd.cc).
- *
- * @param side Grid side length; must be a power of two, and small
- *             enough that side*side fits a u32 (the traversal uses
- *             side = kHilbertSubframeSide = 8).
- * @param d    Four distances, each in [0, side*side).
- * @param x,y  Output coordinates, lane j from d[j].
- */
-void hilbertD2XY4(std::uint32_t side, const std::uint32_t d[4],
-                  std::uint32_t x[4], std::uint32_t y[4]);
-
-/**
  * Convert grid coordinates to the distance along the Hilbert curve.
  *
  * @param side Grid side length; must be a power of two.

@@ -87,30 +87,18 @@ zOrder(std::uint32_t tx, std::uint32_t ty, SimdMode simd)
  * horizontally so the traversal stays near the sub-frame seam.
  */
 std::vector<TileId>
-rectHilbertOrder(std::uint32_t tx, std::uint32_t ty, SimdMode simd)
+rectHilbertOrder(std::uint32_t tx, std::uint32_t ty)
 {
     const std::uint32_t side = kHilbertSubframeSide;
     const std::uint32_t sfx = divCeil(tx, side);
     const std::uint32_t sfy = divCeil(ty, side);
     const std::uint32_t total = side * side;
-    // Under --simd=auto, resolve the intra-sub-frame curve once, four
-    // distances per lane op; every sub-frame replays the same local
-    // (lx, ly) sequence, so the per-sub-frame work reduces to the
-    // offset/mirror/filter scalar tail and emission order is
-    // untouched.
+    // Resolve the intra-sub-frame curve once: every sub-frame replays
+    // the same local (lx, ly) sequence, so the per-sub-frame work
+    // reduces to the offset/mirror/filter tail.
     std::vector<std::uint32_t> lxs(total), lys(total);
-    if (simd == SimdMode::Auto) {
-        std::uint32_t d = 0;
-        for (; d + 4 <= total; d += 4) {
-            const std::uint32_t ds[4] = {d, d + 1, d + 2, d + 3};
-            hilbertD2XY4(side, ds, &lxs[d], &lys[d]);
-        }
-        for (; d < total; ++d)
-            hilbertD2XY(side, d, lxs[d], lys[d]);
-    } else {
-        for (std::uint32_t d = 0; d < total; ++d)
-            hilbertD2XY(side, d, lxs[d], lys[d]);
-    }
+    for (std::uint32_t d = 0; d < total; ++d)
+        hilbertD2XY(side, d, lxs[d], lys[d]);
     std::vector<TileId> out;
     out.reserve(std::size_t{tx} * ty);
     for (std::uint32_t sy = 0; sy < sfy; ++sy) {
@@ -147,7 +135,7 @@ makeTileOrder(TileOrder order, std::uint32_t tiles_x, std::uint32_t tiles_y,
       case TileOrder::ZOrder:
         return zOrder(tiles_x, tiles_y, simd);
       case TileOrder::RectHilbert:
-        return rectHilbertOrder(tiles_x, tiles_y, simd);
+        return rectHilbertOrder(tiles_x, tiles_y);
     }
     panic("unknown TileOrder %d", static_cast<int>(order));
 }

@@ -21,10 +21,10 @@ namespace dtexl {
 /**
  * Build the traversal for the given order over a tilesX x tilesY grid.
  *
- * @param simd Auto decodes the Z-order and RectHilbert curves four
- *             cells per lane op (common/simd.hh); Scalar keeps the
- *             original per-cell loops. The traversal is bit-identical
- *             either way (tests/test_simd.cc).
+ * @param simd Auto decodes the Z-order curve four cells per lane op
+ *             (common/simd.hh); Scalar keeps the original per-cell
+ *             loop. The traversal is bit-identical either way
+ *             (tests/test_simd.cc).
  * @return Tile IDs (id = y * tilesX + x) in processing order; every tile
  *         appears exactly once.
  */

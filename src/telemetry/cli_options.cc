@@ -27,10 +27,6 @@ CommonCliOptions::tryParse(const std::string &arg)
         jobs = static_cast<unsigned>(n);
         return true;
     }
-    if (arg == "--reference-path") {
-        fastPath = false;
-        return true;
-    }
     if (arg.rfind("--simd=", 0) == 0) {
         // simdModeFromString() rejects junk with the legal values.
         simdMode = static_cast<std::uint32_t>(
@@ -245,10 +241,6 @@ CommonCliOptions::helpText()
         "                      (schema dtexl-stats-v1)\n"
         "  --timeline-csv=FILE write telemetry=2 counter timelines as "
         "CSV\n"
-        "  --reference-path    disable the simulator hot-path "
-        "optimizations (A/B\n"
-        "                      equivalence check; results are "
-        "bit-identical)\n"
         "  --simd=MODE         auto (default: vectorized kernels on "
         "the compiled\n"
         "                      lane backend) or scalar (original "

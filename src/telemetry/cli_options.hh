@@ -2,7 +2,7 @@
  * @file
  * Command-line options shared by every driver binary (the four
  * experiment binaries and sim_cli): worker count, trace output,
- * fast-path selection and the telemetry exporters. Each binary's arg
+ * SIMD dispatch and the telemetry exporters. Each binary's arg
  * loop offers unrecognized arguments to CommonCliOptions::tryParse()
  * first, so these flags are spelled, validated and wired identically
  * everywhere instead of five slightly different copies.
@@ -28,8 +28,6 @@ struct CommonCliOptions
 
     /** Worker threads for the batch driver (--jobs=N, [1, 256]). */
     unsigned jobs = 1;
-    /** --reference-path clears GpuConfig::simFastPath (A/B checks). */
-    bool fastPath = true;
     /**
      * --simd=auto|scalar: host SIMD dispatch for the vectorized
      * kernels (stored as a SimdMode value; kSimdUnset leaves

@@ -157,20 +157,36 @@ uninterruptedRun(const GpuConfig &cfg, const std::vector<Scene> &scenes,
 TEST(CheckpointTest, ResumeAtEveryFrameBoundaryIsBitExact)
 {
     const std::string dir = tempDir("ckpt_matrix");
-    // Baseline and full-DTexL machines; the third variant turns
-    // telemetry on so the cumulative-track restore path (and the
-    // skip-telemetry fragment rule) is exercised too.
+    // Baseline and full-DTexL machines. A fresh simulator plus the
+    // restored warm state must equal a continuous run, so this is also
+    // the proof that the per-frame in-place pipeline reset carries no
+    // state beyond the checkpointed warm state. The telemetry variant
+    // exercises the cumulative-track restore path (and the
+    // skip-telemetry fragment rule); the extensions variant carries
+    // cross-frame flush CRCs (transaction elimination) and per-tile
+    // HiZ state.
     GpuConfig telemetry_cfg = small(makeDTexLConfig());
     telemetry_cfg.telemetryLevel = 1;
-    const std::pair<const char *, GpuConfig> presets[] = {
-        {"baseline", small(makeBaselineConfig())},
-        {"dtexl", small(makeDTexLConfig())},
-        {"dtexl_telemetry", telemetry_cfg},
+    GpuConfig ext_cfg = small(makeBaselineConfig());
+    ext_cfg.hierarchicalZ = true;
+    ext_cfg.transactionElimination = true;
+    ext_cfg.decoupledBarriers = true;
+    const struct
+    {
+        const char *name;
+        const char *alias;
+        GpuConfig cfg;
+    } presets[] = {
+        {"baseline", "GTr", small(makeBaselineConfig())},
+        {"baseline_swa", "SWa", small(makeBaselineConfig())},
+        {"dtexl", "GTr", small(makeDTexLConfig())},
+        {"dtexl_telemetry", "GTr", telemetry_cfg},
+        {"extensions_ccs", "CCS", ext_cfg},
     };
 
-    for (const auto &[name, cfg] : presets) {
+    for (const auto &[name, alias, cfg] : presets) {
         SCOPED_TRACE(name);
-        const std::vector<Scene> scenes = makeScenes("GTr", cfg, kFrames);
+        const std::vector<Scene> scenes = makeScenes(alias, cfg, kFrames);
         const ResultKey key = makeKey(scenes, cfg);
 
         StatRegistry ref_reg("ref");

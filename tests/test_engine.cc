@@ -1,10 +1,8 @@
 /**
  * @file
- * Phase-structured engine tests: the in-place RasterPipeline reset
- * path must be bit-exact with the legacy rebuild-per-frame path, the
- * parallel batch driver must be deterministic for any worker count,
- * and the observability layer (StatRegistry, Chrome trace) must
- * record what the engine did.
+ * Phase-structured engine tests: the parallel batch driver must be
+ * deterministic for any worker count, and the observability layer
+ * (StatRegistry, Chrome trace) must record what the engine did.
  */
 
 #include <gtest/gtest.h>
@@ -65,59 +63,6 @@ expectSameStats(const FrameStats &a, const FrameStats &b,
               b.tileQuadDeviation.samples());
     EXPECT_DOUBLE_EQ(a.textureReplication, b.textureReplication);
     EXPECT_EQ(a.imageHash, b.imageHash);
-}
-
-/**
- * The tentpole's bit-exactness criterion: 3 frames with the in-place
- * beginFrame() path against 3 frames with a freshly constructed
- * pipeline per frame, identical FrameStats and imageHash each frame.
- */
-void
-resetMatchesRebuild(const GpuConfig &cfg, const std::string &alias)
-{
-    const BenchmarkParams &p = benchmarkByAlias(alias);
-    const Scene f0 = generateScene(p, cfg, 0);
-    const Scene f1 = generateScene(p, cfg, 1);
-    const Scene f2 = generateScene(p, cfg, 2);
-
-    GpuSimulator reset_path(cfg, f0);
-    GpuSimulator rebuild_path(cfg, f0);
-    rebuild_path.setRebuildPipelineEachFrame(true);
-
-    const Scene *framesv[] = {&f0, &f1, &f2};
-    for (int f = 0; f < 3; ++f) {
-        reset_path.setScene(*framesv[f]);
-        rebuild_path.setScene(*framesv[f]);
-        const FrameStats a = reset_path.renderFrame();
-        const FrameStats b = rebuild_path.renderFrame();
-        expectSameStats(a, b,
-                        alias + " frame " + std::to_string(f));
-    }
-}
-
-TEST(Engine, ResetPathBitExactBaseline)
-{
-    resetMatchesRebuild(smallCfg(), "SWa");
-}
-
-TEST(Engine, ResetPathBitExactDTexL)
-{
-    GpuConfig cfg = makeDTexLConfig();
-    cfg.screenWidth = 256;
-    cfg.screenHeight = 128;
-    resetMatchesRebuild(cfg, "GTr");
-}
-
-TEST(Engine, ResetPathBitExactWithExtensions)
-{
-    // The extensions carry extra per-frame state (HiZ pyramid is
-    // per-tile, flush CRCs are cross-frame): they must survive the
-    // in-place reset unchanged too.
-    GpuConfig cfg = smallCfg();
-    cfg.hierarchicalZ = true;
-    cfg.transactionElimination = true;
-    cfg.decoupledBarriers = true;
-    resetMatchesRebuild(cfg, "CCS");
 }
 
 TEST(Engine, SessionAccumulatesHistory)

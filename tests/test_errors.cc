@@ -12,6 +12,8 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/log.hh"
@@ -98,6 +100,11 @@ TEST(ConfigValidate, RejectsEveryBrokenKnobByName)
     expectConfigReject([](GpuConfig &c) { c.clockHz = 0; }, "clock");
     expectConfigReject([](GpuConfig &c) { c.screenWidth = 0; },
                        "screen");
+    expectConfigReject(
+        [](GpuConfig &c) { c.screenWidth = kMaxScreenSide + 1; },
+        "screen");
+    expectConfigReject(
+        [](GpuConfig &c) { c.screenHeight = 0xFFFFFFFFu; }, "screen");
     expectConfigReject([](GpuConfig &c) { c.tileSize = 3; },
                        "tile size");
     expectConfigReject([](GpuConfig &c) { c.tileSize = 0; },
@@ -166,6 +173,22 @@ TEST(ConfigValidate, PerJobThreadKnobsAreRejected)
             },
             key);
     }
+    // The simulator-path selector is gone too: one implementation per
+    // behaviour, so neither its key nor its flag is accepted.
+    expectUserReject(
+        [] {
+            GpuConfig cfg;
+            applyConfigOption(cfg, "fastpath", "0");
+        },
+        "fastpath");
+    expectUserReject(
+        [] {
+            CommonCliOptions opts;
+            const std::string flag = "--reference-path";
+            if (!opts.tryParse(flag))
+                CommonCliOptions::rejectUnknown(flag);
+        },
+        "--reference-path");
     expectUserReject(
         [] {
             GpuConfig cfg;
@@ -180,6 +203,45 @@ TEST(ConfigValidate, PerJobThreadKnobsAreRejected)
             cfg.validate();
         },
         "rasterThreads");
+}
+
+TEST(ConfigValidate, OutOfRangeNumericOptionsAreRejected)
+{
+    // A bare cast to 32 bits used to rewrite these silently (a 1 KiB
+    // L2 from l2_kib=4194305, 512 wide from width=4294967808, 4 warps
+    // from warps=4294967300), and width=-1 wrapped to a screen too big
+    // to allocate. Each must fail as a UserInput error naming the key.
+    const std::pair<const char *, const char *> bad[] = {
+        {"l2_kib", "4194304"},         // 4 GiB: byte size overflows
+        {"l2_kib", "4194305"},
+        {"l1tex_kib", "18446744073709551615"},
+        {"width", "4294967808"},
+        {"width", "-1"},
+        {"height", "-0"},
+        {"warps", "4294967300"},
+        {"fifo", " 8"},
+        {"tile", "+32"},
+        {"telemetry", "99999999999999999999999"},
+        {"watchdog_cycles", "-1"},
+        {"watchdog_cycles", "18446744073709551616"},
+    };
+    for (const auto &[key, value] : bad) {
+        SCOPED_TRACE(std::string(key) + "=" + value);
+        expectUserReject(
+            [&] {
+                GpuConfig cfg;
+                applyConfigOption(cfg, key, value);
+            },
+            key);
+    }
+    // The largest values that fit still parse exactly.
+    GpuConfig cfg;
+    applyConfigOption(cfg, "l2_kib", "4194303");
+    EXPECT_EQ(cfg.l2Cache.sizeBytes, 4194303u * 1024u);
+    applyConfigOption(cfg, "warps", "4294967295");
+    EXPECT_EQ(cfg.maxWarpsPerCore, 4294967295u);
+    applyConfigOption(cfg, "watchdog_cycles", "18446744073709551615");
+    EXPECT_EQ(cfg.watchdogCycles, 18446744073709551615ull);
 }
 
 TEST(ConfigValidate, WatchdogKnobParsesAndValidates)

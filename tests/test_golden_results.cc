@@ -8,9 +8,10 @@
  * either justified (regenerate the constants in the same commit) or
  * fixed. Wall-clock metrics are deliberately excluded.
  *
- * All scenarios render frame 0 of a Table I benchmark at 256x128 (the
- * small screen keeps each render ~100 ms; the figure binaries use the
- * full screen).
+ * The headline scenarios render frame 0 of a Table I benchmark at
+ * 256x128 (the small screen keeps each render ~100 ms; the figure
+ * binaries use the full screen). The GoldenDigest cases below freeze
+ * everything else as FNV-1a digests.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,13 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
+#include "common/serial.hh"
 #include "core/dtexl.hh"
+#include "harness.hh"
 #include "power/energy_model.hh"
 #include "workloads/scenegen.hh"
 
@@ -161,44 +167,6 @@ TEST(GoldenResults, SpeedupHeadline)
     EXPECT_EQ(base_swa.imageHash, dtexl_swa.imageHash);
 }
 
-TEST(GoldenResults, ReferencePathMatchesEveryPin)
-{
-    // The same headline pins with the simulator hot paths disabled
-    // (simFastPath=false propagates into every cache/DRAM fastPath at
-    // construction). This freezes the REFERENCE implementations
-    // directly: the fast-path equivalence suite proves fast==reference,
-    // and this proves reference==golden, so neither side can drift and
-    // drag the other along — exactly the contract the result cache's
-    // build fingerprint relies on.
-    GpuConfig base = small(makeBaselineConfig());
-    base.simFastPath = false;
-    GpuConfig dtexl = small(makeDTexLConfig());
-    dtexl.simFastPath = false;
-
-    const FrameStats base_gtr = render(base, "GTr");
-    const FrameStats dtexl_gtr = render(dtexl, "GTr");
-    const FrameStats base_swa = render(base, "SWa");
-    const FrameStats dtexl_swa = render(dtexl, "SWa");
-
-    EXPECT_EQ(base_gtr.totalCycles, 50086u);
-    EXPECT_EQ(dtexl_gtr.totalCycles, 38907u);
-    EXPECT_EQ(base_swa.totalCycles, 54710u);
-    EXPECT_EQ(dtexl_swa.totalCycles, 48876u);
-
-    EXPECT_EQ(base_gtr.l1TexAccesses, 174560u);
-    EXPECT_EQ(base_gtr.l1TexMisses, 10420u);
-    EXPECT_EQ(base_gtr.l2Accesses, 11949u);
-    EXPECT_EQ(base_gtr.dramAccesses, 3706u);
-    EXPECT_DOUBLE_EQ(base_gtr.textureReplication, 3.8208955223880596);
-    EXPECT_EQ(dtexl_gtr.l2Accesses, 5038u);
-    EXPECT_EQ(dtexl_gtr.quadsShaded, 15662u);
-
-    // The image is independent of both the scheduling policy and the
-    // simulator implementation path.
-    EXPECT_EQ(base_gtr.imageHash, dtexl_gtr.imageHash);
-    EXPECT_EQ(base_swa.imageHash, dtexl_swa.imageHash);
-}
-
 TEST(GoldenResults, EnergySplit)
 {
     // Figure 18: the frame-energy breakdown of the DTexL machine,
@@ -214,6 +182,186 @@ TEST(GoldenResults, EnergySplit)
     EXPECT_EQ(pj(e.fixedFunction), 492080);
     EXPECT_EQ(pj(e.staticEnergy), 3242250);
     EXPECT_EQ(pj(e.total()), 20290492);
+}
+
+// ---------------------------------------------------------------------
+// Frozen digests. One FNV-1a value per scenario over every FrameStats
+// field (distribution samples and imageHash included), so any change to
+// any simulated statistic is caught, not only the headline metrics
+// above. Scenarios render 3 animated frames at 256x128 on one
+// simulator, exercising the per-frame pipeline reset. The values were
+// recorded with both the optimized and the original reference
+// implementations of the cache last-hit filter, RateWindow and the bank
+// flush count, and the two agreed before the reference versions were
+// retired.
+// ---------------------------------------------------------------------
+
+void
+digestStats(Fnv1a64 &h, const FrameStats &fs)
+{
+    for (std::uint64_t v :
+         {fs.geometryCycles, fs.rasterCycles, fs.totalCycles,
+          fs.verticesProcessed, fs.primitivesBinned,
+          fs.quadsRasterized, fs.quadsCulledEarlyZ, fs.quadsCulledHiZ,
+          fs.quadsShaded, fs.fragmentsShaded, fs.shaderInstructions,
+          fs.textureSamples, fs.earlyZTests, fs.blendOps,
+          fs.flushLineWrites, fs.flushesEliminated, fs.l1TexAccesses,
+          fs.l1TexMisses, fs.l1VertexAccesses, fs.l1TileAccesses,
+          fs.l2Accesses, fs.l2Misses, fs.dramAccesses, fs.imageHash})
+        h.u64(v);
+    h.f64(fs.fps);
+    h.f64(fs.textureReplication);
+    for (std::uint64_t v : fs.quadsPerSc)
+        h.u64(v);
+    for (std::uint64_t v : fs.barrierIdleCycles)
+        h.u64(v);
+    for (const Distribution *d :
+         {&fs.tileTimeDeviation, &fs.tileQuadDeviation}) {
+        h.u64(d->samples().size());
+        for (double x : d->samples())
+            h.f64(x);
+    }
+}
+
+/** Digest of 3 animated frames of @p alias rendered on one simulator. */
+std::uint64_t
+threeFrameDigest(const GpuConfig &cfg, const char *alias)
+{
+    const BenchmarkParams &p = benchmarkByAlias(alias);
+    const Scene frames[3] = {generateScene(p, cfg, 0),
+                             generateScene(p, cfg, 1),
+                             generateScene(p, cfg, 2)};
+    GpuSimulator sim(cfg, frames[0]);
+    Fnv1a64 h;
+    for (const Scene &scene : frames) {
+        sim.setScene(scene);
+        digestStats(h, sim.renderFrame());
+    }
+    return h.value();
+}
+
+TEST(GoldenDigest, BaselineSWa)
+{
+    EXPECT_EQ(threeFrameDigest(small(GpuConfig{}), "SWa"),
+              0xfb297699a0d58e7dull);
+}
+
+TEST(GoldenDigest, DTexLGTr)
+{
+    EXPECT_EQ(threeFrameDigest(small(makeDTexLConfig()), "GTr"),
+              0x806396c1f7c6cb18ull);
+}
+
+TEST(GoldenDigest, UpperBoundSinglePipeSoD)
+{
+    EXPECT_EQ(threeFrameDigest(small(makeUpperBoundConfig()), "SoD"),
+              0x5306e0c41c1468f7ull);
+}
+
+TEST(GoldenDigest, ExtensionsCCS)
+{
+    // HiZ, transaction elimination and texture prefetch exercise the
+    // prefetch MSHR path and the flush-CRC early return.
+    GpuConfig cfg = small(GpuConfig{});
+    cfg.hierarchicalZ = true;
+    cfg.transactionElimination = true;
+    cfg.texturePrefetch = true;
+    cfg.decoupledBarriers = true;
+    EXPECT_EQ(threeFrameDigest(cfg, "CCS"), 0xf3164f2ce4dd84f3ull);
+}
+
+TEST(GoldenDigest, GreedySchedulerMze)
+{
+    GpuConfig cfg = small(GpuConfig{});
+    cfg.warpScheduler = WarpSched::Greedy;
+    EXPECT_EQ(threeFrameDigest(cfg, "Mze"), 0x7c8c28706eea9e9eull);
+}
+
+TEST(GoldenDigest, OldestFirstSchedulerCRa)
+{
+    GpuConfig cfg = small(GpuConfig{});
+    cfg.warpScheduler = WarpSched::OldestFirst;
+    EXPECT_EQ(threeFrameDigest(cfg, "CRa"), 0x39161d0b4da2e4b7ull);
+}
+
+TEST(GoldenDigest, MshrPressureGTr)
+{
+    // Tiny MSHR pools keep the acquireMshr() stall loop and the purge
+    // path busy.
+    GpuConfig cfg = small(GpuConfig{});
+    cfg.textureCache.numMshrs = 2;
+    cfg.l2Cache.numMshrs = 4;
+    cfg.tileCache.numMshrs = 2;
+    EXPECT_EQ(threeFrameDigest(cfg, "GTr"), 0x30133ea028718b4eull);
+}
+
+TEST(GoldenDigest, StatRegistryTreeSoD)
+{
+    // Every per-phase counter path, key and value, except the host
+    // wall-clock counter.
+    const GpuConfig cfg = small(GpuConfig{});
+    const Scene scene = generateScene(benchmarkByAlias("SoD"), cfg, 0);
+    StatRegistry reg("golden");
+    GpuSimulator sim(cfg, scene);
+    sim.setStatRegistry(&reg, "engine");
+    (void)sim.renderFrame();
+
+    Fnv1a64 h;
+    for (const std::string &path : reg.paths()) {
+        h.str(path);
+        for (const auto &[key, value] : reg.node(path).counters()) {
+            if (key == "wall_us")
+                continue;
+            h.str(key);
+            h.u64(value);
+        }
+    }
+    EXPECT_EQ(h.value(), 0x2590e98ea2a9c4adull);
+}
+
+TEST(GoldenDigest, FigureCsvGrid)
+{
+    // The figure binaries' CSV rows are what the paper's plots are
+    // made from: a SWa/GTr x base/dtexl grid through the batch driver,
+    // formatted exactly as the figure binaries format it.
+    GpuConfig base = small(GpuConfig{});
+    GpuConfig dt = small(makeDTexLConfig());
+    std::vector<bench::GridJob> jobs;
+    for (const char *a : {"SWa", "GTr"}) {
+        jobs.push_back({benchmarkByAlias(a), base,
+                        std::string(a) + "/base"});
+        jobs.push_back({benchmarkByAlias(a), dt,
+                        std::string(a) + "/dtexl"});
+    }
+    bench::BenchOptions opt;
+    opt.jobs = 2;
+    const std::vector<bench::RunOutput> results =
+        bench::runGrid(jobs, opt);
+
+    const std::string path = "golden_digest_grid.csv";
+    std::remove(path.c_str());
+    bench::setCsvOutput(path);
+    bench::printHeader("golden-digest",
+                       {"cycles", "l2", "dram", "energy_mj"});
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        bench::printRow(
+            jobs[i].label,
+            {static_cast<double>(results[i].fs.totalCycles),
+             static_cast<double>(results[i].fs.l2Accesses),
+             static_cast<double>(results[i].fs.dramAccesses),
+             results[i].energy.total() * 1e3});
+    }
+    bench::setCsvOutput("");
+
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    const std::string csv = os.str();
+    std::remove(path.c_str());
+    ASSERT_FALSE(csv.empty());
+    EXPECT_EQ(fnv1a64(reinterpret_cast<const std::uint8_t *>(csv.data()),
+                      csv.size()),
+              0x851d3e60ad80c083ull);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "common/rng.hh"
@@ -120,6 +121,117 @@ TEST_P(RateWindowRandomTest, InvariantHoldsUnderRandomTraffic)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RateWindowRandomTest,
                          ::testing::Values(1u, 7u, 13u, 29u));
+
+/**
+ * The original RateWindow formulation, kept as a differential model:
+ * a sorted std::deque history bounded by the same time horizon, a
+ * binary search for the insert position and the full violation scan
+ * on every request, with no in-order append shortcut.
+ */
+class RateWindowModel
+{
+  public:
+    RateWindowModel(std::uint32_t capacity, Cycle window)
+        : cap(capacity), win(window)
+    {}
+
+    Cycle
+    reserve(Cycle now, bool &stalled)
+    {
+        if (!starts.empty()) {
+            const Cycle newest = starts.back();
+            while (!starts.empty() &&
+                   starts.front() + win * kHorizonWindows < newest)
+                starts.pop_front();
+        }
+        stalled = false;
+        Cycle start = now;
+        for (;;) {
+            const std::size_t idx = static_cast<std::size_t>(
+                std::lower_bound(starts.begin(), starts.end(), start) -
+                starts.begin());
+            bool violates = false;
+            Cycle retry = start;
+            for (std::size_t k = 0; k <= cap && k <= idx; ++k) {
+                const std::size_t first = idx - k;
+                const std::size_t last = first + cap;
+                if (last > starts.size())
+                    continue;
+                const Cycle run_first =
+                    k > 0 ? std::min(starts[first], start) : start;
+                const Cycle run_last =
+                    last > first ? std::max(starts[last - 1], start)
+                                 : start;
+                if (run_last - run_first < win) {
+                    violates = true;
+                    retry = std::max(retry, run_first + win);
+                }
+            }
+            if (!violates) {
+                starts.insert(starts.begin() +
+                                  static_cast<std::ptrdiff_t>(idx),
+                              start);
+                return start;
+            }
+            stalled = true;
+            start = retry;
+        }
+    }
+
+    void clear() { starts.clear(); }
+
+  private:
+    /** Same retained-history horizon as RateWindow. */
+    static constexpr Cycle kHorizonWindows = 64;
+
+    std::uint32_t cap;
+    Cycle win;
+    std::deque<Cycle> starts;
+};
+
+TEST(RateWindow, MatchesDequeModel)
+{
+    // Same start cycle and stall flag as the model for arbitrary
+    // out-of-order request streams, across (capacity, window) shapes.
+    const struct
+    {
+        std::uint32_t cap;
+        Cycle win;
+    } shapes[] = {{1, 1}, {2, 8}, {16, 8}, {32, 64}, {8, 256}};
+
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    auto next = [&rng]() {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+
+    for (const auto &shape : shapes) {
+        RateWindow rw(shape.cap, shape.win);
+        RateWindowModel model(shape.cap, shape.win);
+        Cycle base = 0;
+        for (int i = 0; i < 20000; ++i) {
+            // Mostly forward drift with out-of-order jitter, plus
+            // occasional large jumps to exercise horizon pruning.
+            base += next() % 3;
+            if (next() % 512 == 0)
+                base += shape.win * 200;
+            const Cycle jitter = next() % (2 * shape.win + 1);
+            const Cycle now = base > jitter ? base - jitter : Cycle{0};
+            bool got_stalled = false, want_stalled = false;
+            ASSERT_EQ(rw.reserve(now, got_stalled),
+                      model.reserve(now, want_stalled))
+                << "cap=" << shape.cap << " win=" << shape.win
+                << " i=" << i;
+            ASSERT_EQ(got_stalled, want_stalled) << "i=" << i;
+        }
+        rw.clear();
+        model.clear();
+        bool s1 = false, s2 = false;
+        EXPECT_EQ(rw.reserve(5, s1), model.reserve(5, s2));
+    }
+}
 
 TEST(IntervalResource, NonOverlappingReservations)
 {

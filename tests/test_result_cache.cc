@@ -295,21 +295,12 @@ TEST(ResultKeyTest, EveryResultAffectingKnobChangesTheKey)
 TEST(ResultKeyTest, HostExecutionKnobsAreExcluded)
 {
     // These knobs are proven bit-identical by the rest of the suite
-    // (fastpath/SIMD equivalence tests) or inert (the thread members),
-    // so cache entries and checkpoints must be shared across them.
+    // (SIMD equivalence tests) or inert (the thread members), so cache
+    // entries and checkpoints must be shared across them.
     const GpuConfig base = makeDTexLConfig();
     const std::uint64_t h0 = hashConfig(base);
 
     GpuConfig c = base;
-    c.simFastPath = !c.simFastPath;
-    c.vertexCache.fastPath = !c.vertexCache.fastPath;
-    c.textureCache.fastPath = !c.textureCache.fastPath;
-    c.tileCache.fastPath = !c.tileCache.fastPath;
-    c.l2Cache.fastPath = !c.l2Cache.fastPath;
-    c.dram.fastPath = !c.dram.fastPath;
-    EXPECT_EQ(hashConfig(c), h0) << "fastPath selectors";
-
-    c = base;
     c.geomThreads = 8;
     EXPECT_EQ(hashConfig(c), h0) << "geomThreads";
 
@@ -336,6 +327,16 @@ TEST(ResultKeyTest, ConfigSizeCanary)
     // the new size here.
     EXPECT_EQ(sizeof(GpuConfig), 208u)
         << "GpuConfig layout changed - update hashConfig() first";
+}
+
+TEST(ResultKeyTest, PresetConfigDigestsAreFrozen)
+{
+    // Existing result-cache entries and checkpoints are keyed by these
+    // digests: removing a host-execution knob from GpuConfig must not
+    // move them, or every stored entry would silently stop hitting.
+    EXPECT_EQ(hashConfig(makeBaselineConfig()), 0x3bafeeada111a7b6ull);
+    EXPECT_EQ(hashConfig(makeDTexLConfig()), 0x36782e624c419b6full);
+    EXPECT_EQ(hashConfig(makeUpperBoundConfig()), 0xed113dd76205200full);
 }
 
 TEST(ResultKeyTest, BuildFingerprintIsStableWithinAProcess)

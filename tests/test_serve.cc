@@ -623,6 +623,30 @@ TEST(ServeDaemon, RejectsMalformedAndUnknownRequests)
     EXPECT_NE(d.rpc(R"({"cmd":"gc"})").find("\"ok\":false"),
               std::string::npos)
         << "gc without an armed cache must say so, not crash";
+
+    // Out-of-range options are refused at admission, naming the
+    // problem: width=-1 once wrapped to a screen too big to allocate
+    // and took the whole daemon down.
+    JsonValue neg = d.rpcJson(
+        R"({"cmd":"submit","job":"neg","bench":"SWa","frames":1,)"
+        R"("options":[{"k":"width","v":"-1"}]})");
+    EXPECT_FALSE(neg.flag("ok"));
+    EXPECT_NE(neg.str("error").find("user-input: option width"),
+              std::string::npos)
+        << neg.str("error");
+    JsonValue huge = d.rpcJson(
+        R"({"cmd":"submit","job":"huge","bench":"SWa","frames":1,)"
+        R"("options":[{"k":"height","v":"100000"}]})");
+    EXPECT_FALSE(huge.flag("ok"));
+    EXPECT_NE(huge.str("error").find("screen resolution"),
+              std::string::npos)
+        << huge.str("error");
+
+    // None of the rejections disturbed the daemon: the next job runs.
+    JsonValue next = d.rpcJson(
+        R"({"cmd":"submit","job":"next","bench":"SWa","frames":1})");
+    EXPECT_TRUE(next.flag("ok")) << "submit rejected";
+    EXPECT_TRUE(d.waitForState("next", "done"));
 }
 
 TEST(ServeDaemon, QueueFullSubmitsGetRetryAfter)

@@ -3,12 +3,11 @@
  * Scalar-vs-SIMD bit-exactness battery for the portable lane layer
  * (common/simd.hh) and every kernel built on it: the lane primitives'
  * scalar semantics (std::max/std::min and ordered-compare behaviour on
- * NaN and signed zeros), the Morton and Hilbert codecs, the striped
- * FNV checksum, batched LOD (QuadStream::lod4), batched texel
- * footprints (quadSampleFootprints), the vectorized rasterizer, and
- * finally whole-frame equivalence: FrameStats, registry counters and
- * the image hash must be byte-identical under --simd=auto and
- * --simd=scalar for every preset and both simulator paths. Also holds
+ * NaN and signed zeros), the Morton codec, the striped FNV checksum,
+ * batched texel footprints (quadSampleFootprints), the vectorized
+ * rasterizer, and finally whole-frame equivalence: FrameStats,
+ * registry counters and the image hash must be byte-identical under
+ * --simd=auto and --simd=scalar for every preset. Also holds
  * the pow2-texture-side regression tests (the repeat-addressing wrap
  * mask assumes it) and the --simd plumbing tests.
  */
@@ -28,8 +27,6 @@
 #include "common/simd.hh"
 #include "core/dtexl.hh"
 #include "raster/rasterizer.hh"
-#include "raster/quad_stream.hh"
-#include "sfc/hilbert.hh"
 #include "sfc/morton.hh"
 #include "sfc/morton_lanes.hh"
 #include "sfc/tile_order.hh"
@@ -157,7 +154,7 @@ TEST(SimdLanes, SqrtMatchesScalar)
 }
 
 // ---------------------------------------------------------------------
-// Morton / Hilbert lanes
+// Morton lanes
 // ---------------------------------------------------------------------
 
 TEST(SimdSfc, MortonEncode4MatchesScalar)
@@ -197,28 +194,6 @@ TEST(SimdSfc, MortonDecode4MatchesScalar)
         for (int j = 0; j < 4; ++j) {
             EXPECT_EQ(x[j], mortonDecodeX(codes[j]));
             EXPECT_EQ(y[j], mortonDecodeY(codes[j]));
-        }
-    }
-}
-
-TEST(SimdSfc, HilbertD2XY4MatchesScalar)
-{
-    // Full sweep of the traversal's actual grid (8x8 sub-frames), then
-    // a larger grid for depth coverage.
-    for (std::uint32_t side : {2u, 8u, 64u, 256u}) {
-        const std::uint32_t n = side * side;
-        for (std::uint32_t d = 0; d + 4 <= n; d += 4) {
-            const std::uint32_t ds[4] = {d, d + 1, d + 2, d + 3};
-            std::uint32_t x4[4], y4[4];
-            hilbertD2XY4(side, ds, x4, y4);
-            for (int j = 0; j < 4; ++j) {
-                std::uint32_t x, y;
-                hilbertD2XY(side, ds[j], x, y);
-                EXPECT_EQ(x4[j], x) << "side=" << side << " d=" << ds[j];
-                EXPECT_EQ(y4[j], y) << "side=" << side << " d=" << ds[j];
-            }
-            if (side > 8 && d > 64)
-                d += (side * side) / 64 & ~3u;  // sample large grids
         }
     }
 }
@@ -347,65 +322,6 @@ TEST(SimdHash, StripedFnvFormatIsFrozen)
     // Not interchangeable with the serial digest (a mixed-up call site
     // must fail checksum verification, not silently pass).
     EXPECT_NE(fnv1a64Striped(buf), fnv1a64(buf));
-}
-
-// ---------------------------------------------------------------------
-// Batched LOD (QuadStream::lod4)
-// ---------------------------------------------------------------------
-
-TEST(SimdLod, LodBatchMatchesScalar)
-{
-    static const Primitive prim;  // lod() never dereferences it
-    QuadStream qs;
-    Rng rng;
-
-    auto pushQuad = [&](Vec2f f0, Vec2f f1, Vec2f f2, Vec2f f3) {
-        std::array<Fragment, 4> frags;
-        frags[0].uv = f0;
-        frags[1].uv = f1;
-        frags[2].uv = f2;
-        frags[3].uv = f3;
-        qs.push(&prim, Coord2{0, 0}, 0xF, frags);
-    };
-
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    const float sub = 1e-41f;  // subnormal uv derivative
-    // Edge cases first: rho exactly 1.0 (side 64, dudx exactly 1/64 —
-    // sqrt of an exact square — must take the lod == 0 branch in both
-    // implementations), a degenerate zero-derivative quad, subnormal
-    // derivatives, a NaN quad, huge derivatives.
-    pushQuad({0, 0}, {1.0f / 64.0f, 0}, {0, 1.0f / 64.0f},
-             {1.0f / 64.0f, 1.0f / 64.0f});
-    pushQuad({0.25f, 0.5f}, {0.25f, 0.5f}, {0.25f, 0.5f},
-             {0.25f, 0.5f});
-    pushQuad({0, 0}, {sub, 0}, {0, sub}, {sub, sub});
-    pushQuad({nan, 0}, {0, nan}, {1, 1}, {0, 0});
-    pushQuad({0, 0}, {500.0f, 0}, {0, 500.0f}, {500.0f, 500.0f});
-    // Just above/below the rho == 1 threshold.
-    pushQuad({0, 0}, {std::nextafter(1.0f / 64.0f, 1.0f), 0}, {0, 0},
-             {0, 0});
-    pushQuad({0, 0}, {std::nextafter(1.0f / 64.0f, 0.0f), 0}, {0, 0},
-             {0, 0});
-    while (qs.size() < 64) {
-        Vec2f f[4];
-        for (auto &v : f)
-            v = Vec2f{rng.uniform(-4.0f, 4.0f), rng.uniform(-4.0f, 4.0f)};
-        pushQuad(f[0], f[1], f[2], f[3]);
-    }
-
-    const std::uint32_t sides[] = {64, 128, 256, 1024};
-    for (std::uint32_t i = 0; i + 4 <= qs.size(); i += 4) {
-        std::uint32_t idx[4], side[4];
-        for (int j = 0; j < 4; ++j) {
-            idx[j] = i + static_cast<std::uint32_t>(j);
-            side[j] = sides[(i + j) % 4];
-        }
-        float out[4];
-        qs.lod4(idx, side, out);
-        for (int j = 0; j < 4; ++j)
-            EXPECT_TRUE(bitEqF(out[j], qs.lod(idx[j], side[j])))
-                << "quad " << idx[j] << " side " << side[j];
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -699,8 +615,7 @@ expectSameStats(const FrameStats &a, const FrameStats &b,
 
 /**
  * Render 3 animated frames of @p alias with --simd=auto and
- * --simd=scalar; every frame must be bit-exact (same contract as
- * tests/test_fastpath_equiv.cc, over the SIMD knob instead).
+ * --simd=scalar; every frame must be bit-exact.
  */
 void
 autoMatchesScalar(GpuConfig cfg, const std::string &alias)
@@ -734,8 +649,7 @@ TEST(SimdEquiv, Baseline)
 
 TEST(SimdEquiv, DTexLPreset)
 {
-    // RectHilbert tile order, CG grouping, decoupled barriers: covers
-    // the lane Hilbert traversal in a full frame.
+    // RectHilbert tile order, CG grouping, decoupled barriers.
     GpuConfig cfg = makeDTexLConfig();
     cfg.screenWidth = 256;
     cfg.screenHeight = 128;
@@ -748,15 +662,6 @@ TEST(SimdEquiv, UpperBoundPreset)
     cfg.screenWidth = 256;
     cfg.screenHeight = 128;
     autoMatchesScalar(cfg, "SoD");
-}
-
-TEST(SimdEquiv, ReferenceSimulatorPath)
-{
-    // The SIMD knob must be independent of the simFastPath knob: the
-    // reference simulator path runs the same lane kernels.
-    GpuConfig cfg = smallCfg();
-    cfg.simFastPath = false;
-    autoMatchesScalar(cfg, "CCS");
 }
 
 TEST(SimdEquiv, StatRegistryBitExact)

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -61,12 +63,21 @@ struct Counter
 class TraceOutput : public ::testing::Test
 {
   protected:
-    static constexpr const char *kPath = "test_trace_out.json";
+    /**
+     * Per-process file: ctest runs each TraceOutput case as its own
+     * process, possibly in parallel, and a shared name would let one
+     * case read another's half-written trace.
+     */
+    static std::string
+    path()
+    {
+        return "test_trace_out." + std::to_string(::getpid()) + ".json";
+    }
 
     static void
     SetUpTestSuite()
     {
-        TraceWriter::global().enable(kPath);
+        TraceWriter::global().enable(path());
 
         GpuConfig cfg;
         cfg.screenWidth = 256;
@@ -96,7 +107,7 @@ class TraceOutput : public ::testing::Test
         results() = runBatch(jobs, 2, registry());
         TraceWriter::global().flush();
 
-        std::ifstream in(kPath, std::ios::binary);
+        std::ifstream in(path(), std::ios::binary);
         std::ostringstream os;
         os << in.rdbuf();
         text() = os.str();
@@ -107,7 +118,7 @@ class TraceOutput : public ::testing::Test
     {
         delete registry();
         registry() = nullptr;
-        std::remove(kPath);
+        std::remove(path().c_str());
     }
 
     static StatRegistry *&
