@@ -12,10 +12,6 @@
  *
  *  - Comparisons are IEEE *ordered* compares (NaN lanes produce a
  *    false mask), matching `a < b` on scalars.
- *  - maxStd/minStd are compare+select with std::max/std::min's exact
- *    operand order — `std::max(a, b)` is `(a < b) ? b : a` — because
- *    the hardware maxps/minps instructions differ from std::max on
- *    NaN and signed-zero operands.
  *  - Int->float conversion uses the hardware cvt (round-to-nearest-
  *    even), the same rounding `static_cast<float>(int)` performs.
  *  - No fused multiply-add is ever emitted: lane mul/add are distinct
@@ -23,8 +19,7 @@
  *    cannot contract the scalar twins either.
  *
  * Masks are full-width lane masks (all-ones / all-zero) as produced by
- * the compare instructions; select() is a bitwise blend, exact for
- * such masks. moveMask() packs lane k's mask into bit k.
+ * the compare instructions. moveMask() packs lane k's mask into bit k.
  *
  * Runtime dispatch is deliberately not hidden here: kernels keep their
  * scalar implementation and branch on GpuConfig::simdMode (`--simd=`),
@@ -35,7 +30,6 @@
 #ifndef DTEXL_COMMON_SIMD_HH
 #define DTEXL_COMMON_SIMD_HH
 
-#include <cmath>
 #include <cstdint>
 
 #if defined(__AVX2__)
@@ -83,10 +77,8 @@ inline void storeF4(float *p, F32x4 a) { _mm_storeu_ps(p, a.v); }
 inline F32x4 operator+(F32x4 a, F32x4 b) { return {_mm_add_ps(a.v, b.v)}; }
 inline F32x4 operator-(F32x4 a, F32x4 b) { return {_mm_sub_ps(a.v, b.v)}; }
 inline F32x4 operator*(F32x4 a, F32x4 b) { return {_mm_mul_ps(a.v, b.v)}; }
-inline F32x4 sqrtF4(F32x4 a) { return {_mm_sqrt_ps(a.v)}; }
 
 inline M32x4 cmpGtF4(F32x4 a, F32x4 b) { return {_mm_cmpgt_ps(a.v, b.v)}; }
-inline M32x4 cmpLtF4(F32x4 a, F32x4 b) { return {_mm_cmplt_ps(a.v, b.v)}; }
 inline M32x4 cmpEqF4(F32x4 a, F32x4 b) { return {_mm_cmpeq_ps(a.v, b.v)}; }
 
 inline M32x4 andM4(M32x4 a, M32x4 b) { return {_mm_and_ps(a.v, b.v)}; }
@@ -97,27 +89,6 @@ maskSplat4(bool b)
     return {_mm_castsi128_ps(_mm_set1_epi32(b ? -1 : 0))};
 }
 inline int moveMask4(M32x4 m) { return _mm_movemask_ps(m.v); }
-
-/** Bitwise m ? a : b; exact for compare-produced masks. */
-inline F32x4
-selectF4(M32x4 m, F32x4 a, F32x4 b)
-{
-    return {_mm_or_ps(_mm_and_ps(m.v, a.v), _mm_andnot_ps(m.v, b.v))};
-}
-
-/** Lane-wise std::max: (a < b) ? b : a, exactly. */
-inline F32x4
-maxStdF4(F32x4 a, F32x4 b)
-{
-    return selectF4(cmpLtF4(a, b), b, a);
-}
-
-/** Lane-wise std::min: (b < a) ? b : a, exactly. */
-inline F32x4
-minStdF4(F32x4 a, F32x4 b)
-{
-    return selectF4(cmpLtF4(b, a), b, a);
-}
 
 inline I32x4 splatI4(std::int32_t x) { return {_mm_set1_epi32(x)}; }
 inline I32x4
@@ -168,29 +139,11 @@ inline U32x4 operator^(U32x4 a, U32x4 b)
 {
     return {_mm_xor_si128(a.v, b.v)};
 }
-inline U32x4 shlU4(U32x4 a, int n) { return {_mm_slli_epi32(a.v, n)}; }
 inline U32x4 shrU4(U32x4 a, int n) { return {_mm_srli_epi32(a.v, n)}; }
-inline U32x4 cmpEqU4(U32x4 a, U32x4 b)
-{
-    return {_mm_cmpeq_epi32(a.v, b.v)};
-}
-inline U32x4
-selectU4(U32x4 m, U32x4 a, U32x4 b)
-{
-    return {_mm_or_si128(_mm_and_si128(m.v, a.v),
-                         _mm_andnot_si128(m.v, b.v))};
-}
 inline void
 storeU4(std::uint32_t *p, U32x4 a)
 {
     _mm_storeu_si128(reinterpret_cast<__m128i *>(p), a.v);
-}
-inline std::uint32_t
-extractU4(U32x4 a, unsigned i)
-{
-    std::uint32_t tmp[4];
-    storeU4(tmp, a);
-    return tmp[i];
 }
 
 #elif defined(DTEXL_SIMD_NEON)
@@ -207,23 +160,8 @@ inline void storeF4(float *p, F32x4 a) { vst1q_f32(p, a.v); }
 inline F32x4 operator+(F32x4 a, F32x4 b) { return {vaddq_f32(a.v, b.v)}; }
 inline F32x4 operator-(F32x4 a, F32x4 b) { return {vsubq_f32(a.v, b.v)}; }
 inline F32x4 operator*(F32x4 a, F32x4 b) { return {vmulq_f32(a.v, b.v)}; }
-inline F32x4
-sqrtF4(F32x4 a)
-{
-#if defined(__aarch64__)
-    return {vsqrtq_f32(a.v)};
-#else
-    // ARMv7 has no IEEE vector sqrt; per-lane libm keeps bit-exactness.
-    float t[4];
-    vst1q_f32(t, a.v);
-    for (int i = 0; i < 4; ++i)
-        t[i] = std::sqrt(t[i]);
-    return {vld1q_f32(t)};
-#endif
-}
 
 inline M32x4 cmpGtF4(F32x4 a, F32x4 b) { return {vcgtq_f32(a.v, b.v)}; }
-inline M32x4 cmpLtF4(F32x4 a, F32x4 b) { return {vcltq_f32(a.v, b.v)}; }
 inline M32x4 cmpEqF4(F32x4 a, F32x4 b) { return {vceqq_f32(a.v, b.v)}; }
 
 inline M32x4 andM4(M32x4 a, M32x4 b) { return {vandq_u32(a.v, b.v)}; }
@@ -236,22 +174,6 @@ moveMask4(M32x4 m)
                             ((vgetq_lane_u32(m.v, 1) >> 31) << 1) |
                             ((vgetq_lane_u32(m.v, 2) >> 31) << 2) |
                             ((vgetq_lane_u32(m.v, 3) >> 31) << 3));
-}
-
-inline F32x4
-selectF4(M32x4 m, F32x4 a, F32x4 b)
-{
-    return {vbslq_f32(m.v, a.v, b.v)};
-}
-inline F32x4
-maxStdF4(F32x4 a, F32x4 b)
-{
-    return selectF4(cmpLtF4(a, b), b, a);
-}
-inline F32x4
-minStdF4(F32x4 a, F32x4 b)
-{
-    return selectF4(cmpLtF4(b, a), b, a);
 }
 
 inline I32x4 splatI4(std::int32_t x) { return {vdupq_n_s32(x)}; }
@@ -278,29 +200,11 @@ inline U32x4 operator&(U32x4 a, U32x4 b) { return {vandq_u32(a.v, b.v)}; }
 inline U32x4 operator|(U32x4 a, U32x4 b) { return {vorrq_u32(a.v, b.v)}; }
 inline U32x4 operator^(U32x4 a, U32x4 b) { return {veorq_u32(a.v, b.v)}; }
 inline U32x4
-shlU4(U32x4 a, int n)
-{
-    return {vshlq_u32(a.v, vdupq_n_s32(n))};
-}
-inline U32x4
 shrU4(U32x4 a, int n)
 {
     return {vshlq_u32(a.v, vdupq_n_s32(-n))};
 }
-inline U32x4 cmpEqU4(U32x4 a, U32x4 b) { return {vceqq_u32(a.v, b.v)}; }
-inline U32x4
-selectU4(U32x4 m, U32x4 a, U32x4 b)
-{
-    return {vbslq_u32(m.v, a.v, b.v)};
-}
 inline void storeU4(std::uint32_t *p, U32x4 a) { vst1q_u32(p, a.v); }
-inline std::uint32_t
-extractU4(U32x4 a, unsigned i)
-{
-    std::uint32_t tmp[4];
-    storeU4(tmp, a);
-    return tmp[i];
-}
 
 #else // DTEXL_SIMD_SCALAR
 
@@ -331,29 +235,12 @@ DTEXL_SCALAR_LANEOP4(operator+, F32x4, a.v[i] + b.v[i])
 DTEXL_SCALAR_LANEOP4(operator-, F32x4, a.v[i] - b.v[i])
 DTEXL_SCALAR_LANEOP4(operator*, F32x4, a.v[i] * b.v[i])
 
-inline F32x4
-sqrtF4(F32x4 a)
-{
-    F32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = std::sqrt(a.v[i]);
-    return r;
-}
-
 inline M32x4
 cmpGtF4(F32x4 a, F32x4 b)
 {
     M32x4 r;
     for (int i = 0; i < 4; ++i)
         r.v[i] = a.v[i] > b.v[i] ? ~0u : 0u;
-    return r;
-}
-inline M32x4
-cmpLtF4(F32x4 a, F32x4 b)
-{
-    M32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = a.v[i] < b.v[i] ? ~0u : 0u;
     return r;
 }
 inline M32x4
@@ -381,25 +268,6 @@ moveMask4(M32x4 m)
     for (int i = 0; i < 4; ++i)
         r |= static_cast<int>(m.v[i] >> 31) << i;
     return r;
-}
-
-inline F32x4
-selectF4(M32x4 m, F32x4 a, F32x4 b)
-{
-    F32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = m.v[i] ? a.v[i] : b.v[i];
-    return r;
-}
-inline F32x4
-maxStdF4(F32x4 a, F32x4 b)
-{
-    return selectF4(cmpLtF4(a, b), b, a);
-}
-inline F32x4
-minStdF4(F32x4 a, F32x4 b)
-{
-    return selectF4(cmpLtF4(b, a), b, a);
 }
 
 inline I32x4 splatI4(std::int32_t x) { return {{x, x, x, x}}; }
@@ -438,35 +306,11 @@ DTEXL_SCALAR_LANEOP4(operator&, U32x4, a.v[i] & b.v[i])
 DTEXL_SCALAR_LANEOP4(operator|, U32x4, a.v[i] | b.v[i])
 DTEXL_SCALAR_LANEOP4(operator^, U32x4, a.v[i] ^ b.v[i])
 inline U32x4
-shlU4(U32x4 a, int n)
-{
-    U32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = a.v[i] << n;
-    return r;
-}
-inline U32x4
 shrU4(U32x4 a, int n)
 {
     U32x4 r;
     for (int i = 0; i < 4; ++i)
         r.v[i] = a.v[i] >> n;
-    return r;
-}
-inline U32x4
-cmpEqU4(U32x4 a, U32x4 b)
-{
-    U32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = a.v[i] == b.v[i] ? ~0u : 0u;
-    return r;
-}
-inline U32x4
-selectU4(U32x4 m, U32x4 a, U32x4 b)
-{
-    U32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = m.v[i] ? a.v[i] : b.v[i];
     return r;
 }
 inline void
@@ -475,7 +319,6 @@ storeU4(std::uint32_t *p, U32x4 a)
     for (int i = 0; i < 4; ++i)
         p[i] = a.v[i];
 }
-inline std::uint32_t extractU4(U32x4 a, unsigned i) { return a.v[i]; }
 
 #undef DTEXL_SCALAR_LANEOP4
 
@@ -702,14 +545,6 @@ loadU64x4(const std::uint64_t *p)
 }
 
 #endif
-
-inline std::uint64_t
-extractU64x4(U64x4 a, unsigned i)
-{
-    std::uint64_t tmp[4];
-    storeU64x4(tmp, a);
-    return tmp[i];
-}
 
 /**
  * Per-lane 64-bit multiply. Integer multiplication is exact mod 2^64,

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/sim_error.hh"
 
@@ -99,39 +100,6 @@ TraceWriter::counter(const std::string &name, std::uint64_t ts_us,
     im.events.push_back({name, "counter", ts_us, 0, track, 'C', value});
 }
 
-/** Escape a string for a JSON literal (names come from CLI labels). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 TraceWriter::flush()
 {
@@ -149,25 +117,18 @@ TraceWriter::flush()
     std::fprintf(f, "{\"traceEvents\":[\n");
     for (std::size_t i = 0; i < im.events.size(); ++i) {
         const Impl::Event &e = im.events[i];
-        const char *sep = i + 1 == im.events.size() ? "" : ",";
-        if (e.ph == 'C') {
-            std::fprintf(
-                f,
-                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"C\","
-                "\"ts\":%llu,\"pid\":1,\"tid\":%u,"
-                "\"args\":{\"value\":%llu}}%s\n",
-                jsonEscape(e.name).c_str(), jsonEscape(e.cat).c_str(),
-                static_cast<unsigned long long>(e.ts), e.tid,
-                static_cast<unsigned long long>(e.value), sep);
-        } else {
-            std::fprintf(
-                f,
-                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                "\"ts\":%llu,\"dur\":%llu,\"pid\":1,\"tid\":%u}%s\n",
-                jsonEscape(e.name).c_str(), jsonEscape(e.cat).c_str(),
-                static_cast<unsigned long long>(e.ts),
-                static_cast<unsigned long long>(e.dur), e.tid, sep);
-        }
+        JsonWriter w;
+        w.str("name", e.name)
+            .str("cat", e.cat)
+            .str("ph", std::string(1, e.ph))
+            .u64("ts", e.ts);
+        if (e.ph == 'X')
+            w.u64("dur", e.dur);
+        w.u64("pid", 1).u64("tid", e.tid);
+        if (e.ph == 'C')
+            w.raw("args", JsonWriter().u64("value", e.value).object());
+        std::fprintf(f, "%s%s\n", w.object().c_str(),
+                     i + 1 == im.events.size() ? "" : ",");
     }
     std::fprintf(f, "]}\n");
     std::fclose(f);

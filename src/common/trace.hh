@@ -21,9 +21,6 @@
 
 namespace dtexl {
 
-/** Escape a string for use inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 /** Process-global trace-event collector; disabled until enable(). */
 class TraceWriter
 {

@@ -11,9 +11,9 @@
 #include <unistd.h>
 
 #include "common/channel.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/sim_error.hh"
-#include "common/trace.hh"
 
 namespace dtexl {
 
@@ -57,7 +57,7 @@ struct ProgressMeter
         switch (ev.kind) {
         case EventKind::JobSubmit:
             ++jobsTotal;
-            framesTotal += ev.uval("frames");
+            framesTotal += ev.frames;
             break;
         case EventKind::JobFrame:
             ++framesDone;
@@ -69,8 +69,8 @@ struct ProgressMeter
             ++jobsDone;
             // Cache-served jobs render no frames, so their frame
             // count arrives in one step here.
-            if (ev.uval("cached"))
-                framesDone += ev.uval("frames");
+            if (ev.cached)
+                framesDone += ev.frames;
             break;
         case EventKind::JobError:
             ++jobsDone;
@@ -199,15 +199,6 @@ struct EventBus::Impl
     void
     writeEvent(const RunEvent &ev)
     {
-        RunEvent line = ev;
-        if (line.kind == EventKind::RunEnd) {
-            line.u64("jobs", meter.jobsTotal)
-                .u64("ok", meter.jobsDone - meter.jobsFailed)
-                .u64("failed", meter.jobsFailed)
-                .u64("frames", meter.framesDone)
-                .u64("cache_hits", meter.cacheHits);
-        }
-
         // Snapshot the tap under the lock; invoke it outside so a slow
         // subscriber can't deadlock against setTap().
         std::shared_ptr<const Tap> tapLocal;
@@ -216,23 +207,25 @@ struct EventBus::Impl
             tapLocal = tap;
         }
         if (out || tapLocal) {
-            std::string text = "{";
-            if (line.kind == EventKind::RunStart)
-                text += "\"schema\":\"dtexl-events-v1\",";
-            text += "\"seq\":" + std::to_string(seq);
-            text += ",\"ts_ms\":" + std::to_string(line.tsMs);
-            char tbuf[48];
-            std::snprintf(tbuf, sizeof(tbuf), ",\"t_ms\":%.3f",
-                          line.tMs);
-            text += tbuf;
-            text += ",\"event\":\"";
-            text += toString(line.kind);
-            text += "\"";
-            if (!line.job.empty())
-                text += ",\"job\":\"" + jsonEscape(line.job) + "\"";
-            for (const RunEvent::Field &f : line.fields)
-                text += ",\"" + jsonEscape(f.key) + "\":" + f.json;
-            text += "}\n";
+            JsonWriter w;
+            if (ev.kind == EventKind::RunStart)
+                w.str("schema", "dtexl-events-v1");
+            w.u64("seq", seq)
+                .u64("ts_ms", ev.tsMs)
+                .f64("t_ms", ev.tMs)
+                .str("event", toString(ev.kind));
+            if (!ev.job.empty())
+                w.str("job", ev.job);
+            for (const RunEvent::Field &f : ev.fields)
+                w.raw(f.key.c_str(), f.json);
+            if (ev.kind == EventKind::RunEnd) {
+                w.u64("jobs", meter.jobsTotal)
+                    .u64("ok", meter.jobsDone - meter.jobsFailed)
+                    .u64("failed", meter.jobsFailed)
+                    .u64("frames", meter.framesDone)
+                    .u64("cache_hits", meter.cacheHits);
+            }
+            const std::string text = w.finish();
             if (out) {
                 std::fwrite(text.data(), 1, text.size(), out);
                 // Per-line flush: the ledger stays valid JSONL up to
@@ -247,9 +240,9 @@ struct EventBus::Impl
         }
         ++seq;
 
-        meter.observe(line);
+        meter.observe(ev);
         if (progress)
-            meter.maybePrint(t0, line.kind == EventKind::RunEnd);
+            meter.maybePrint(t0, ev.kind == EventKind::RunEnd);
     }
 };
 

@@ -1,8 +1,8 @@
 #include "obs/run_event.hh"
 
-#include <cstdio>
+#include <cstring>
 
-#include "common/trace.hh"
+#include "common/json.hh"
 
 namespace dtexl {
 
@@ -30,35 +30,26 @@ toString(EventKind kind)
 RunEvent &
 RunEvent::u64(const char *key, std::uint64_t value)
 {
-    fields.push_back(
-        {key, std::to_string(static_cast<unsigned long long>(value)),
-         value});
+    if (std::strcmp(key, "frames") == 0)
+        frames = value;
+    else if (std::strcmp(key, "cached") == 0)
+        cached = value;
+    fields.push_back({key, std::to_string(value)});
     return *this;
 }
 
 RunEvent &
 RunEvent::f64(const char *key, double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", value);
-    fields.push_back({key, buf, 0});
+    fields.push_back({key, JsonWriter::number(value)});
     return *this;
 }
 
 RunEvent &
 RunEvent::str(const char *key, const std::string &value)
 {
-    fields.push_back({key, "\"" + jsonEscape(value) + "\"", 0});
+    fields.push_back({key, JsonWriter::quote(value)});
     return *this;
-}
-
-std::uint64_t
-RunEvent::uval(const char *key) const
-{
-    for (const Field &f : fields)
-        if (f.key == key)
-            return f.uval;
-    return 0;
 }
 
 } // namespace dtexl

@@ -4,10 +4,10 @@
  *
  * A RunEvent is one line of the JSONL ledger: an EventKind, the job it
  * belongs to (empty for run-scoped events), producer-side timestamps,
- * and an ordered list of key/value fields. Values are pre-rendered to
- * JSON at the emission site so the writer thread never interprets
- * them; numeric fields additionally keep their raw integer value so
- * the live progress meter can read counts without re-parsing JSON.
+ * and an ordered list of key/value fields. Values are rendered to JSON
+ * tokens by common/json.hh at the emission site so the writer thread
+ * never interprets them; the two counts the live progress meter reads
+ * (frames, cached) are also kept as integers.
  *
  * Event vocabulary (schema `dtexl-events-v1`, see DESIGN.md "Run
  * observability"):
@@ -60,16 +60,11 @@ const char *toString(EventKind kind);
 /** One ledger line under construction. */
 struct RunEvent
 {
-    /**
-     * One key/value field. @c json is the value pre-rendered as a JSON
-     * token (number, or quoted escaped string); @c uval mirrors
-     * integer values so the progress meter can read counts directly.
-     */
+    /** One key/value field; @c json is the value as a JSON token. */
     struct Field
     {
         std::string key;
         std::string json;
-        std::uint64_t uval = 0;
     };
 
     EventKind kind;
@@ -80,6 +75,10 @@ struct RunEvent
     /** Milliseconds since the bus was armed (emission time). */
     double tMs = 0.0;
     std::vector<Field> fields;
+    /** The "frames" and "cached" fields' values, kept for the
+     *  progress meter; 0 when absent. */
+    std::uint64_t frames = 0;
+    std::uint64_t cached = 0;
 
     explicit RunEvent(EventKind k, std::string jobLabel = "")
         : kind(k), job(std::move(jobLabel))
@@ -91,9 +90,6 @@ struct RunEvent
     RunEvent &f64(const char *key, double value);
     /** Append a string field (JSON-escaped). */
     RunEvent &str(const char *key, const std::string &value);
-
-    /** Raw value of an integer field, or 0 when absent. */
-    std::uint64_t uval(const char *key) const;
 };
 
 } // namespace dtexl

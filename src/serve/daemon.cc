@@ -536,9 +536,7 @@ Daemon::renderJobStatus(const JobRecord *rec)
         const double wait = rec->nextRetryAtMs - steadyNowMs();
         w.f64("retry_in_ms", wait > 0.0 ? wait : 0.0);
     }
-    std::string line = w.finish();
-    line.pop_back(); // embedded in the status array / response
-    return line;
+    return w.object();
 }
 
 std::string
@@ -553,19 +551,13 @@ Daemon::handleStatus(const JsonValue &req)
         w.boolean("ok", true).raw("status", renderJobStatus(rec));
         return w.finish();
     }
-    std::string jobs = "[";
-    bool first = true;
-    for (JobRecord *rec : table_.all()) {
-        if (!first)
-            jobs += ',';
-        first = false;
-        jobs += renderJobStatus(rec);
-    }
-    jobs += ']';
+    std::vector<std::string> jobs;
+    for (JobRecord *rec : table_.all())
+        jobs.push_back(renderJobStatus(rec));
     JsonWriter w;
     w.boolean("ok", true)
         .u64("queued", queuedCount_.load(std::memory_order_relaxed))
-        .raw("jobs", jobs);
+        .objects("jobs", jobs);
     return w.finish();
 }
 

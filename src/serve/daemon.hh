@@ -7,11 +7,11 @@
  * backoff (resuming from checkpoints), and drains gracefully on
  * SIGTERM/SIGINT or the `drain`/`shutdown` commands.
  *
- * Protocol: newline-framed JSON objects both directions (serve/
- * wire.hh). Commands: ping, submit, status, cancel, gc, drain,
- * shutdown, subscribe. See DESIGN.md "Service daemon (dtexld)" for
- * the full grammar and the drain sequence; scripts/dtexl_client.py is
- * the reference client.
+ * Protocol: newline-framed JSON objects both directions
+ * (common/json.hh). Commands: ping, submit, status, cancel, gc,
+ * drain, shutdown, subscribe. See DESIGN.md "Service daemon (dtexld)"
+ * for the full grammar and the drain sequence; scripts/dtexl_client.py
+ * is the reference client.
  *
  * Crash tolerance: every admission is journaled (serve/journal.hh)
  * before the client is acked, every terminal outcome is journaled as

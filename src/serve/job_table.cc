@@ -42,28 +42,17 @@ renderJobSpec(const JobSpec &spec)
     if (!spec.preset.empty())
         w.str("preset", spec.preset);
     if (!spec.options.empty()) {
-        std::string opts = "[";
-        bool first = true;
-        for (const auto &kv : spec.options) {
-            if (!first)
-                opts += ',';
-            first = false;
-            JsonWriter one;
-            one.str("k", kv.first).str("v", kv.second);
-            std::string line = one.finish();
-            line.pop_back(); // strip the '\n' line terminator
-            opts += line;
-        }
-        opts += ']';
-        w.raw("options", opts);
+        std::vector<std::string> opts;
+        for (const auto &kv : spec.options)
+            opts.push_back(
+                JsonWriter().str("k", kv.first).str("v", kv.second).object());
+        w.objects("options", opts);
     }
     if (spec.deadlineMs > 0.0)
         w.f64("deadline_ms", spec.deadlineMs);
     if (spec.retryMax >= 0)
         w.i64("retry_max", spec.retryMax);
-    std::string line = w.finish();
-    line.pop_back(); // embedded object: caller adds framing
-    return line;
+    return w.object();
 }
 
 bool

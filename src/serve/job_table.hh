@@ -40,7 +40,7 @@
 
 #include "common/cancel.hh"
 #include "common/config.hh"
-#include "serve/wire.hh"
+#include "common/json.hh"
 
 namespace dtexl {
 

@@ -5,9 +5,9 @@
 #include <mutex>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/sim_error.hh"
-#include "common/trace.hh"
 
 namespace dtexl {
 
@@ -132,22 +132,17 @@ TelemetryExport::Impl::writeLocked()
         } else {
             std::fprintf(f,
                          "{\n\"schema\":\"dtexl-stats-v1\",\n"
-                         "\"registry\":\"%s\",\n\"nodes\":{\n",
-                         jsonEscape(im.registry->name()).c_str());
+                         "\"registry\":%s,\n\"nodes\":{\n",
+                         JsonWriter::quote(im.registry->name()).c_str());
             const std::vector<std::string> paths = im.registry->paths();
             for (std::size_t i = 0; i < paths.size(); ++i) {
-                const StatSet *node = im.registry->find(paths[i]);
-                std::fprintf(f, "\"%s\":{",
-                             jsonEscape(paths[i]).c_str());
-                bool first = true;
-                for (const auto &[key, value] : node->counters()) {
-                    std::fprintf(f, "%s\"%s\":%llu",
-                                 first ? "" : ",",
-                                 jsonEscape(key).c_str(),
-                                 static_cast<unsigned long long>(value));
-                    first = false;
-                }
-                std::fprintf(f, "}%s\n",
+                JsonWriter node;
+                for (const auto &[key, value] :
+                     im.registry->find(paths[i])->counters())
+                    node.u64(key.c_str(), value);
+                std::fprintf(f, "%s:%s%s\n",
+                             JsonWriter::quote(paths[i]).c_str(),
+                             node.object().c_str(),
                              i + 1 == paths.size() ? "" : ",");
             }
             std::fprintf(f, "}\n}\n");

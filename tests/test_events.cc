@@ -19,19 +19,16 @@
 #include <vector>
 
 #include "cache/result_store.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/serial.hh"
 #include "common/sim_error.hh"
 #include "core/dtexl.hh"
-#include "json_test_util.hh"
 #include "obs/event_bus.hh"
 #include "workloads/scenegen.hh"
 
 namespace dtexl {
 namespace {
-
-using testjson::JsonParser;
-using testjson::JsonValue;
 
 GpuConfig
 smallCfg()
@@ -61,8 +58,8 @@ readLedger(const std::string &path)
         if (line.empty())
             continue;
         JsonValue v;
-        JsonParser parser(line);
-        EXPECT_TRUE(parser.parse(v)) << "bad JSON line: " << line;
+        std::string err;
+        EXPECT_TRUE(parseJson(line, v, err)) << "bad JSON line: " << line;
         events.push_back(std::move(v));
     }
     return events;
@@ -71,8 +68,7 @@ readLedger(const std::string &path)
 std::string
 eventName(const JsonValue &v)
 {
-    auto it = v.members.find("event");
-    return it == v.members.end() ? "" : it->second.str;
+    return v.str("event");
 }
 
 std::map<std::string, int>
@@ -155,17 +151,18 @@ TEST_F(EventBusTest, LedgerIsWellFormedAndComplete)
 
     // Bracketing and the schema marker on the first line.
     EXPECT_EQ(eventName(events.front()), "run_start");
-    EXPECT_EQ(events.front().members.at("schema").str,
-              "dtexl-events-v1");
-    EXPECT_EQ(events.front().members.at("config").str,
-              "0000000000001111");
+    ASSERT_NE(events.front().find("schema"), nullptr);
+    ASSERT_NE(events.front().find("config"), nullptr);
+    EXPECT_EQ(events.front().find("schema")->text, "dtexl-events-v1");
+    EXPECT_EQ(events.front().find("config")->text, "0000000000001111");
     EXPECT_EQ(eventName(events.back()), "run_end");
 
     // seq is exactly 0..N-1 in file order (single-writer contract).
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].members.at("seq").number,
-                  static_cast<double>(i))
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_NE(events[i].find("seq"), nullptr) << "at line " << i;
+        EXPECT_EQ(events[i].find("seq")->number, static_cast<double>(i))
             << "at line " << i;
+    }
 
     // Full lifecycle: 2 submits, 2 starts, 4 frames, 2 completes.
     std::map<std::string, int> counts = countByEvent(events);
@@ -177,18 +174,20 @@ TEST_F(EventBusTest, LedgerIsWellFormedAndComplete)
 
     // run_end totals agree with the counted events.
     const JsonValue &end = events.back();
-    EXPECT_EQ(end.members.at("jobs").number, 2.0);
-    EXPECT_EQ(end.members.at("ok").number, 2.0);
-    EXPECT_EQ(end.members.at("failed").number, 0.0);
-    EXPECT_EQ(end.members.at("frames").number, 4.0);
+    for (const char *k : {"jobs", "ok", "failed", "frames"})
+        ASSERT_NE(end.find(k), nullptr) << k;
+    EXPECT_EQ(end.find("jobs")->number, 2.0);
+    EXPECT_EQ(end.find("ok")->number, 2.0);
+    EXPECT_EQ(end.find("failed")->number, 0.0);
+    EXPECT_EQ(end.find("frames")->number, 4.0);
 
     // Every job-scoped event names its job.
     for (const JsonValue &v : events) {
         const std::string name = eventName(v);
         if (name == "run_start" || name == "run_end")
             continue;
-        ASSERT_TRUE(v.members.count("job")) << name;
-        const std::string &job = v.members.at("job").str;
+        ASSERT_TRUE(v.find("job") != nullptr) << name;
+        const std::string &job = v.find("job")->text;
         EXPECT_TRUE(job == "Mze" || job == "CRa") << job;
     }
 
@@ -259,15 +258,19 @@ TEST_F(EventBusTest, FailingJobLeavesValidLedgerWithJobError)
     EXPECT_EQ(counts["job_error"], 1);
     EXPECT_EQ(counts["job_complete"], 1);
     const JsonValue &end = events.back();
-    EXPECT_EQ(end.members.at("failed").number, 1.0);
-    EXPECT_EQ(end.members.at("ok").number, 1.0);
+    ASSERT_NE(end.find("failed"), nullptr);
+    ASSERT_NE(end.find("ok"), nullptr);
+    EXPECT_EQ(end.find("failed")->number, 1.0);
+    EXPECT_EQ(end.find("ok")->number, 1.0);
 
     for (const JsonValue &v : events) {
         if (eventName(v) != "job_error")
             continue;
-        EXPECT_EQ(v.members.at("job").str, "broken");
-        EXPECT_EQ(v.members.at("kind").str, "user-input");
-        EXPECT_NE(v.members.at("error").str.find("exploded"),
+        for (const char *k : {"job", "kind", "error"})
+            ASSERT_NE(v.find(k), nullptr) << k;
+        EXPECT_EQ(v.find("job")->text, "broken");
+        EXPECT_EQ(v.find("kind")->text, "user-input");
+        EXPECT_NE(v.find("error")->text.find("exploded"),
                   std::string::npos);
     }
     std::remove(path.c_str());

@@ -17,9 +17,9 @@
 #include <sstream>
 
 #include "common/fault_inject.hh"
+#include "common/json.hh"
 #include "common/sim_error.hh"
 #include "core/dtexl.hh"
-#include "json_test_util.hh"
 #include "telemetry/export.hh"
 #include "workloads/scene_io.hh"
 #include "workloads/scenegen.hh"
@@ -297,9 +297,11 @@ TEST(FaultInject, FailedJobStillWritesValidJsonArtifacts)
     // right now (no atexit needed) and parses cleanly.
     const std::string text = readFile(stats_path);
     ASSERT_FALSE(text.empty());
-    testjson::JsonValue doc;
-    EXPECT_TRUE(testjson::JsonParser(text).parse(doc)) << text;
-    EXPECT_EQ(doc.members.at("schema").str, "dtexl-stats-v1");
+    JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(parseJson(text, doc, err)) << text;
+    ASSERT_NE(doc.find("schema"), nullptr);
+    EXPECT_EQ(doc.find("schema")->text, "dtexl-stats-v1");
 
     TelemetryExport::global().flush();
     std::remove(stats_path.c_str());

@@ -30,13 +30,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/signals.hh"
 #include "core/dtexl.hh"
 #include "obs/event_bus.hh"
 #include "serve/daemon.hh"
 #include "serve/job_table.hh"
 #include "serve/journal.hh"
-#include "serve/wire.hh"
 
 namespace dtexl {
 namespace {
@@ -95,6 +95,12 @@ TEST(Wire, RejectsMalformedInput)
         "{\"s\":\"raw\tctl\"}",    // raw control char in string
         "nulle",                   // bad literal
         "--1",                     // malformed number
+        "+1",                      // leading plus
+        "01",                      // leading zero
+        ".5",                      // no integer part
+        "1.",                      // no fraction digits
+        "1e999",                   // overflows to inf
+        "-1e999",                  // overflows to -inf
     };
     for (const char *text : bad) {
         EXPECT_FALSE(parseJson(text, v, err)) << "accepted: " << text;
@@ -264,6 +270,23 @@ TEST(Journal, MissingFileIsEmptyAndTornTailTolerated)
     const std::vector<JobSpec> pending = JobJournal::loadPending(path);
     ASSERT_EQ(pending.size(), 1u) << "torn tail must drop only itself";
     EXPECT_EQ(pending[0].label, "a");
+}
+
+TEST(Journal, LargeFiniteDeadlineSurvivesReplay)
+{
+    TempDir tmp;
+    const std::string path = tmp.path() + "/jobs.journal";
+    JobSpec spec = benchSpec("big");
+    spec.deadlineMs = 1e300;
+    {
+        JobJournal j(path);
+        j.reset({});
+        j.recordSubmit(spec);
+    }
+    const std::vector<JobSpec> pending = JobJournal::loadPending(path);
+    ASSERT_EQ(pending.size(), 1u) << "an acknowledged job must survive";
+    EXPECT_EQ(pending[0].label, "big");
+    EXPECT_DOUBLE_EQ(pending[0].deadlineMs, 1e300);
 }
 
 TEST(Journal, ResetCompactsToPending)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/json.hh"
 #include "common/stat_registry.hh"
 #include "core/gpu.hh"
 #include "telemetry/export.hh"
@@ -28,13 +29,8 @@
 #include "telemetry/unit_track.hh"
 #include "workloads/scenegen.hh"
 
-#include "json_test_util.hh"
-
 namespace dtexl {
 namespace {
-
-using testjson::JsonParser;
-using testjson::JsonValue;
 
 // ---------- UnitTrack ----------
 
@@ -317,12 +313,15 @@ TEST(TelemetryExportTest, StatsJsonParsesAndHoldsInvariant)
     ASSERT_FALSE(text.empty());
 
     JsonValue doc;
-    ASSERT_TRUE(JsonParser(text).parse(doc)) << text;
+    std::string err;
+    ASSERT_TRUE(parseJson(text, doc, err)) << text;
     ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
-    EXPECT_EQ(doc.members.at("schema").str, "dtexl-stats-v1");
-    EXPECT_EQ(doc.members.at("registry").str, "telemetry-test");
+    for (const char *k : {"schema", "registry", "nodes"})
+        ASSERT_NE(doc.find(k), nullptr) << k;
+    EXPECT_EQ(doc.find("schema")->text, "dtexl-stats-v1");
+    EXPECT_EQ(doc.find("registry")->text, "telemetry-test");
 
-    const JsonValue &nodes = doc.members.at("nodes");
+    const JsonValue &nodes = *doc.find("nodes");
     ASSERT_EQ(nodes.kind, JsonValue::Kind::Object);
 
     // Every published telemetry node must carry the closed key set and
@@ -339,9 +338,9 @@ TEST(TelemetryExportTest, StatsJsonParsesAndHoldsInvariant)
             if (key != "total")
                 sum += static_cast<std::uint64_t>(val.number);
         }
-        ASSERT_TRUE(node.members.count("total")) << path;
-        EXPECT_EQ(sum, static_cast<std::uint64_t>(
-                           node.members.at("total").number))
+        ASSERT_TRUE(node.find("total") != nullptr) << path;
+        EXPECT_EQ(sum,
+                  static_cast<std::uint64_t>(node.find("total")->number))
             << path;
     }
     EXPECT_EQ(telemetry_nodes, static_cast<int>(kNumTelemetryUnits));

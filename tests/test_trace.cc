@@ -26,18 +26,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/stat_registry.hh"
 #include "common/trace.hh"
 #include "core/engine.hh"
 #include "workloads/scenegen.hh"
 
-#include "json_test_util.hh"
-
 namespace dtexl {
 namespace {
-
-using testjson::JsonParser;
-using testjson::JsonValue;
 
 struct Span
 {
@@ -143,59 +139,63 @@ class TraceOutput : public ::testing::Test
     }
 
     /** Complete ("X") events only; counter events carry no "dur". */
-    static std::vector<Span>
-    spans(const JsonValue &doc)
+    static void
+    spans(std::vector<Span> &out)
     {
-        std::vector<Span> out;
-        const JsonValue &events = doc.members.at("traceEvents");
-        for (const JsonValue &e : events.items) {
-            if (e.members.at("ph").str != "X")
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(parseJson(text(), doc, err)) << err;
+        const JsonValue *events = doc.find("traceEvents");
+        ASSERT_NE(events, nullptr);
+        for (const JsonValue &e : events->items) {
+            ASSERT_NE(e.find("ph"), nullptr);
+            if (e.find("ph")->text != "X")
                 continue;
+            for (const char *k : {"name", "cat", "ts", "dur", "tid"})
+                ASSERT_NE(e.find(k), nullptr) << k;
             Span s;
-            s.name = e.members.at("name").str;
-            s.cat = e.members.at("cat").str;
-            s.ts = static_cast<std::uint64_t>(
-                e.members.at("ts").number);
-            s.dur = static_cast<std::uint64_t>(
-                e.members.at("dur").number);
-            s.tid = static_cast<std::uint64_t>(
-                e.members.at("tid").number);
+            s.name = e.find("name")->text;
+            s.cat = e.find("cat")->text;
+            s.ts = static_cast<std::uint64_t>(e.find("ts")->number);
+            s.dur = static_cast<std::uint64_t>(e.find("dur")->number);
+            s.tid = static_cast<std::uint64_t>(e.find("tid")->number);
             out.push_back(std::move(s));
         }
-        return out;
     }
 
     /** Counter ("C") events emitted by the telemetry sampler. */
-    static std::vector<Counter>
-    counters(const JsonValue &doc)
+    static void
+    counters(std::vector<Counter> &out)
     {
-        std::vector<Counter> out;
-        const JsonValue &events = doc.members.at("traceEvents");
-        for (const JsonValue &e : events.items) {
-            if (e.members.at("ph").str != "C")
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(parseJson(text(), doc, err)) << err;
+        const JsonValue *events = doc.find("traceEvents");
+        ASSERT_NE(events, nullptr);
+        for (const JsonValue &e : events->items) {
+            ASSERT_NE(e.find("ph"), nullptr);
+            if (e.find("ph")->text != "C")
                 continue;
-            EXPECT_EQ(e.members.at("cat").str, "counter");
-            EXPECT_EQ(e.members.count("dur"), 0u)
+            for (const char *k : {"cat", "name", "ts", "tid", "args"})
+                ASSERT_NE(e.find(k), nullptr) << k;
+            EXPECT_EQ(e.find("cat")->text, "counter");
+            EXPECT_EQ(e.find("dur"), nullptr)
                 << "counter events must not carry a duration";
             Counter c;
-            c.name = e.members.at("name").str;
-            c.ts = static_cast<std::uint64_t>(
-                e.members.at("ts").number);
-            c.tid = static_cast<std::uint64_t>(
-                e.members.at("tid").number);
-            const JsonValue &args = e.members.at("args");
+            c.name = e.find("name")->text;
+            c.ts = static_cast<std::uint64_t>(e.find("ts")->number);
+            c.tid = static_cast<std::uint64_t>(e.find("tid")->number);
+            const JsonValue &args = *e.find("args");
             EXPECT_EQ(args.kind, JsonValue::Kind::Object);
-            const auto it = args.members.find("value");
-            EXPECT_TRUE(it != args.members.end())
+            const JsonValue *value = args.find("value");
+            EXPECT_TRUE(value != nullptr)
                 << "counter '" << c.name << "' lacks args.value";
-            if (it != args.members.end()) {
-                EXPECT_EQ(it->second.kind, JsonValue::Kind::Number);
-                c.value =
-                    static_cast<std::uint64_t>(it->second.number);
+            if (value != nullptr) {
+                EXPECT_EQ(value->kind, JsonValue::Kind::Number);
+                c.value = static_cast<std::uint64_t>(value->number);
             }
             out.push_back(std::move(c));
         }
-        return out;
     }
 };
 
@@ -203,18 +203,17 @@ TEST_F(TraceOutput, FileParsesAsJson)
 {
     ASSERT_FALSE(text().empty());
     JsonValue doc;
-    ASSERT_TRUE(JsonParser(text()).parse(doc)) << text();
+    std::string err;
+    ASSERT_TRUE(parseJson(text(), doc, err)) << text();
     ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
-    ASSERT_TRUE(doc.members.count("traceEvents"));
-    EXPECT_EQ(doc.members.at("traceEvents").kind,
-              JsonValue::Kind::Array);
+    ASSERT_TRUE(doc.find("traceEvents") != nullptr);
+    EXPECT_EQ(doc.find("traceEvents")->kind, JsonValue::Kind::Array);
 }
 
 TEST_F(TraceOutput, EventsCarryExpectedSpans)
 {
-    JsonValue doc;
-    ASSERT_TRUE(JsonParser(text()).parse(doc));
-    const std::vector<Span> ss = spans(doc);
+    std::vector<Span> ss;
+    ASSERT_NO_FATAL_FAILURE(spans(ss));
 
     // 3 frames total: one geometry + one raster phase span each, and
     // one job span per job.
@@ -229,9 +228,8 @@ TEST_F(TraceOutput, EventsCarryExpectedSpans)
 
 TEST_F(TraceOutput, SpansWellNestedPerTrack)
 {
-    JsonValue doc;
-    ASSERT_TRUE(JsonParser(text()).parse(doc));
-    std::vector<Span> ss = spans(doc);
+    std::vector<Span> ss;
+    ASSERT_NO_FATAL_FAILURE(spans(ss));
 
     // Within a track, complete events must be properly nested: sort by
     // (start asc, duration desc) and sweep with a stack of open end
@@ -263,9 +261,8 @@ TEST_F(TraceOutput, SpansWellNestedPerTrack)
 
 TEST_F(TraceOutput, JobSpanContainsItsPhaseSpans)
 {
-    JsonValue doc;
-    ASSERT_TRUE(JsonParser(text()).parse(doc));
-    const std::vector<Span> ss = spans(doc);
+    std::vector<Span> ss;
+    ASSERT_NO_FATAL_FAILURE(spans(ss));
     for (const Span &job : ss) {
         if (job.cat != "job")
             continue;
@@ -286,9 +283,8 @@ TEST_F(TraceOutput, JobSpanContainsItsPhaseSpans)
 
 TEST_F(TraceOutput, CounterTracksPresentAndValid)
 {
-    JsonValue doc;
-    ASSERT_TRUE(JsonParser(text()).parse(doc));
-    const std::vector<Counter> cs = counters(doc);
+    std::vector<Counter> cs;
+    ASSERT_NO_FATAL_FAILURE(counters(cs));
 
     // Level 2 with a 256-cycle period over thousands of raster cycles
     // must produce samples; each sample emits one event per source.
@@ -313,9 +309,8 @@ TEST_F(TraceOutput, CounterTracksPresentAndValid)
 
 TEST_F(TraceOutput, CounterTimestampsMonotonicPerTrack)
 {
-    JsonValue doc;
-    ASSERT_TRUE(JsonParser(text()).parse(doc));
-    const std::vector<Counter> cs = counters(doc);
+    std::vector<Counter> cs;
+    ASSERT_NO_FATAL_FAILURE(counters(cs));
     ASSERT_FALSE(cs.empty());
 
     // Events appear in emission order; within one (tid, name) counter
