@@ -3,7 +3,7 @@
 
 The ledger is append-only JSONL, schema "dtexl-events-v1" (see
 DESIGN.md "Run observability"): one event per line, a monotonic `seq`
-assigned by the single writer thread, wall timestamps, and a typed
+assigned under the event bus lock, wall timestamps, and a typed
 `event` field drawn from a closed vocabulary.
 
 Default mode prints a per-sweep summary: per-job wall time and

@@ -1,25 +1,13 @@
 #include "cache/checkpoint.hh"
 
+#include "cache/file_frame.hh"
 #include "common/fault_inject.hh"
 #include "common/log.hh"
-#include "common/serial.hh"
 #include "common/sim_error.hh"
 
 namespace dtexl {
 
 namespace {
-
-/** "DTXLCKPT" as a little-endian u64. */
-constexpr std::uint64_t
-packMagic(const char (&s)[9])
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(s[i]))
-             << (8 * i);
-    return v;
-}
 
 constexpr std::uint64_t kCheckpointMagic = packMagic("DTXLCKPT");
 
@@ -29,16 +17,9 @@ void
 writeCheckpointFile(const std::string &path, const CheckpointBlob &blob)
 {
     ByteWriter file;
-    file.u64(kCheckpointMagic);
-    file.u32(kResultFormatVersion);
-    file.u64(blob.key.scene);
-    file.u64(blob.key.config);
-    file.u64(blob.key.build);
+    writeFileHead(file, kCheckpointMagic, blob.key);
     file.u32(blob.framesDone);
-    file.u64(blob.payload.size());
-    for (std::uint8_t b : blob.payload)
-        file.u8(b);
-    file.u64(fnv1a64Striped(blob.payload));
+    writeFileBody(file, blob.payload);
 
     try {
         atomicWriteFile(path, file.data());
@@ -63,25 +44,12 @@ readCheckpointFile(const std::string &path, const ResultKey &expectedKey)
 
     try {
         ByteReader r(bytes);
-        if (r.u64() != kCheckpointMagic)
-            throwIoError("bad magic");
-        if (r.u32() != kResultFormatVersion)
-            throwIoError("format version mismatch");
+        readFileHead(r, kCheckpointMagic, expectedKey);
         CheckpointBlob blob;
-        blob.key.scene = r.u64();
-        blob.key.config = r.u64();
-        blob.key.build = r.u64();
-        if (!(blob.key == expectedKey))
-            throwIoError("checkpoint belongs to a different run");
+        blob.key = expectedKey;
         blob.framesDone = r.u32();
-        const std::uint64_t payload_size = r.u64();
-        if (payload_size + 8 != r.remaining())
-            throwIoError("payload size disagrees with file size");
-        blob.payload.resize(static_cast<std::size_t>(payload_size));
-        for (std::uint8_t &b : blob.payload)
-            b = r.u8();
-        if (r.u64() != fnv1a64Striped(blob.payload))
-            throwIoError("payload checksum mismatch");
+        const std::span<const std::uint8_t> payload = readFileBody(r);
+        blob.payload.assign(payload.begin(), payload.end());
         return blob;
     } catch (const SimError &e) {
         warn("checkpoint: rejecting corrupt file '%s' (%s); restarting "

@@ -5,8 +5,9 @@
  * warm state, the job's registry fragment), written every
  * --checkpoint-every frames and consumed by --resume.
  *
- * The framing mirrors the result store's: magic, format version, full
- * ResultKey echo, payload size, payload, FNV-1a payload checksum. A
+ * The framing is the result store's (file_frame.hh): magic, format
+ * version, full ResultKey echo, then framesDone, then payload size,
+ * payload, FNV-1a payload checksum. A
  * checkpoint that fails any check — including the FaultSite::CkptFlipByte
  * bit-flip injection — is rejected with a warn() and the run restarts
  * from frame 0; restored state is *validated before use*, so a corrupt

@@ -1,16 +1,14 @@
 #include "cache/result_store.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 
+#include "cache/file_frame.hh"
 #include "common/fault_inject.hh"
 #include "common/log.hh"
 #include "common/retry.hh"
 #include "common/sim_error.hh"
 #include "common/stat_registry.hh"
-#include "obs/event_bus.hh"
 
 namespace dtexl {
 
@@ -31,18 +29,6 @@ fsRetryPolicy()
                                     /*jitterPct=*/25,
                                     /*seed=*/0x7ca9};
     return policy;
-}
-
-/** Frame magics as little-endian u64s, spelled from the characters. */
-constexpr std::uint64_t
-packMagic(const char (&s)[9])
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(s[i]))
-             << (8 * i);
-    return v;
 }
 
 constexpr std::uint64_t kResultEntryMagic = packMagic("DTXLRES1");
@@ -257,12 +243,6 @@ ResultStore::checkpointPath(const ResultKey &key) const
     return dir_ + "/ckpt-" + key.hex() + ".bin";
 }
 
-std::string
-ResultStore::manifestPath() const
-{
-    return dir_ + "/manifest.log";
-}
-
 std::optional<CachedResult>
 ResultStore::lookup(const ResultKey &key) const
 {
@@ -278,30 +258,9 @@ ResultStore::lookup(const ResultKey &key) const
 
     try {
         ByteReader r(bytes);
-        if (r.u64() != kResultEntryMagic)
-            throwIoError("bad magic");
-        if (r.u32() != kResultFormatVersion)
-            throwIoError("format version mismatch");
-        ResultKey echoed;
-        echoed.scene = r.u64();
-        echoed.config = r.u64();
-        echoed.build = r.u64();
-        if (!(echoed == key))
-            throwIoError("entry key does not match its file name");
-        const std::uint64_t payload_size = r.u64();
-        if (payload_size + 8 != r.remaining())
-            throwIoError("payload size disagrees with file size");
-        const std::size_t payload_at = bytes.size() - r.remaining();
-        const std::uint64_t want_sum =
-            fnv1a64Striped(bytes.data() + payload_at,
-                           static_cast<std::size_t>(payload_size));
-        ByteReader payload(bytes.data() + payload_at,
-                           static_cast<std::size_t>(payload_size));
-        ByteReader tail(bytes.data() + payload_at +
-                            static_cast<std::size_t>(payload_size),
-                        8);
-        if (tail.u64() != want_sum)
-            throwIoError("payload checksum mismatch");
+        readFileHead(r, kResultEntryMagic, key);
+        const std::span<const std::uint8_t> body = readFileBody(r);
+        ByteReader payload(body.data(), body.size());
 
         CachedResult res;
         const std::uint32_t frames = payload.u32();
@@ -329,16 +288,8 @@ ResultStore::store(const ResultKey &key,
     writeStatsFragment(payload, result.stats);
 
     ByteWriter file;
-    file.u64(kResultEntryMagic);
-    file.u32(kResultFormatVersion);
-    file.u64(key.scene);
-    file.u64(key.config);
-    file.u64(key.build);
-    file.u64(payload.size());
-    const std::uint64_t sum = fnv1a64Striped(payload.data());
-    for (std::uint8_t b : payload.data())
-        file.u8(b);
-    file.u64(sum);
+    writeFileHead(file, kResultEntryMagic, key);
+    writeFileBody(file, payload.data());
 
     // Retry transient failures before giving up: losing a cached
     // result to one EINTR wastes the whole recompute. Still best
@@ -348,38 +299,6 @@ ResultStore::store(const ResultKey &key,
     retryTransient(fsRetryPolicy(), "result cache store", [&] {
         atomicWriteFile(entryPath(key), file.data());
     });
-}
-
-void
-ResultStore::appendManifest(const ResultKey &key, const char *status,
-                            const std::string &label) const
-{
-    // Mirror the manifest line into the run-event ledger: the four
-    // manifest statuses map 1:1 onto the cache event kinds.
-    if (EventBus::armed()) {
-        const std::string st = status;
-        EventKind kind = EventKind::JobCacheMiss;
-        if (st == "hit")
-            kind = EventKind::JobCacheHit;
-        else if (st == "store")
-            kind = EventKind::JobCacheStore;
-        else if (st == "resume")
-            kind = EventKind::JobResume;
-        RunEvent ev(kind, label);
-        ev.str("key", key.hex());
-        EventBus::global().emit(std::move(ev));
-    }
-
-    std::lock_guard<std::mutex> lock(manifestMu);
-    retryTransient(fsRetryPolicy(), "cache manifest append", [&] {
-        std::FILE *f = std::fopen(manifestPath().c_str(), "a");
-        if (!f)
-            throwIoError("cannot open '%s' for append",
-                         manifestPath().c_str());
-        std::fprintf(f, "%s %s %s\n", key.hex().c_str(), status,
-                     label.c_str());
-        std::fclose(f);
-    });  // best effort after the retries, like store()
 }
 
 CheckpointGcReport

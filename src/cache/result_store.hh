@@ -11,8 +11,11 @@
  *   res-<48-hex-key>.bin   one entry per key; framed as
  *                          [magic "DTXLRES1"][format version][key]
  *                          [payload size][payload][FNV-1a checksum]
+ *                          (file_frame.hh)
  *   ckpt-<48-hex-key>.bin  in-progress checkpoint (checkpoint.hh)
- *   manifest.log           append-only "key status label" sweep log
+ *
+ * Cache traffic (hit, miss, store, resume) is recorded once, as
+ * run-event ledger lines emitted by the batch engine (--events).
  *
  * Every commit is atomic (temp file + rename, common/serial.hh), so a
  * reader never observes a half-written entry; a truncated or
@@ -28,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -132,22 +134,15 @@ class ResultStore
      */
     void store(const ResultKey &key, const CachedResult &result) const;
 
-    /** Append one "key status label" line to manifest.log (retried
-     *  like store(), then best-effort). */
-    void appendManifest(const ResultKey &key, const char *status,
-                        const std::string &label) const;
-
     /** Re-root the store (ResultCache::configure()). */
     void setDir(std::string dir) { dir_ = std::move(dir); }
 
     std::string entryPath(const ResultKey &key) const;
     std::string checkpointPath(const ResultKey &key) const;
-    std::string manifestPath() const;
     const std::string &dir() const { return dir_; }
 
   private:
     std::string dir_;
-    mutable std::mutex manifestMu;
 };
 
 // ---- Checkpoint garbage collection --------------------------------

@@ -3,10 +3,10 @@
  * Shared retry policy: exponential backoff with deterministic jitter.
  *
  * Two consumers (see DESIGN.md "Service daemon"):
- *  - the result cache wraps its store/manifest writes in
- *    retryTransient() so one transient filesystem hiccup (EINTR,
- *    momentary ENOSPC, an NFS blip) no longer silently discards a
- *    result that took minutes to compute;
+ *  - the result cache wraps its entry writes in retryTransient() so
+ *    one transient filesystem hiccup (EINTR, momentary ENOSPC, an NFS
+ *    blip) no longer silently discards a result that took minutes to
+ *    compute;
  *  - dtexld's job scheduler re-enqueues jobs that died of a transient
  *    ErrorKind (Io, Watchdog — never UserInput/Config, which retry
  *    identically forever) after backoffDelayMs().

@@ -65,6 +65,15 @@ ByteReader::str()
     return s;
 }
 
+const std::uint8_t *
+ByteReader::bytes(std::size_t size)
+{
+    need(size);
+    const std::uint8_t *at = p + pos;
+    pos += size;
+    return at;
+}
+
 std::uint64_t
 fnv1a64(const std::uint8_t *data, std::size_t size)
 {

@@ -69,6 +69,13 @@ class ByteWriter
         buf.insert(buf.end(), s.begin(), s.end());
     }
 
+    /** Raw bytes, no length prefix. */
+    void
+    bytes(const std::vector<std::uint8_t> &v)
+    {
+        buf.insert(buf.end(), v.begin(), v.end());
+    }
+
     const std::vector<std::uint8_t> &data() const { return buf; }
     std::vector<std::uint8_t> take() { return std::move(buf); }
     std::size_t size() const { return buf.size(); }
@@ -97,6 +104,8 @@ class ByteReader
     float f32() { return std::bit_cast<float>(u32()); }
     double f64() { return std::bit_cast<double>(u64()); }
     std::string str();
+    /** Borrow the next @p size raw bytes and step past them. */
+    const std::uint8_t *bytes(std::size_t size);
 
     std::size_t remaining() const { return n - pos; }
     bool done() const { return pos == n; }

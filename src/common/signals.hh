@@ -6,7 +6,7 @@
  * atomic counter, optionally write()s a wake byte into a registered
  * pipe fd (so a poll()-based accept loop notices immediately), and
  * _exit(130)s once the escalation threshold is reached. Everything
- * else — checkpointing in-flight jobs, flushing the EventBus, the
+ * else — checkpointing in-flight jobs, closing the EventBus ledger, the
  * drain report — happens cooperatively on normal threads that poll
  * drainRequested() at frame boundaries (core/engine.cc).
  *

@@ -140,6 +140,19 @@ reportCacheTraffic()
            static_cast<unsigned long long>(rc.resumes()));
 }
 
+/** Ledger record of one result-cache transaction (hit, miss, store,
+ *  resume) for @p job. */
+void
+emitCacheEvent(EventKind kind, const std::string &job,
+               const ResultKey &key)
+{
+    if (!EventBus::armed())
+        return;
+    RunEvent ev(kind, job);
+    ev.str("key", key.hex());
+    EventBus::global().emit(std::move(ev));
+}
+
 /** Run one job start to finish on the calling thread. */
 BatchResult
 runJob(const BatchJob &job, StatRegistry *registry,
@@ -195,10 +208,10 @@ runJob(const BatchJob &job, StatRegistry *registry,
                 res.cacheHit = true;
                 served = true;
                 rc.noteHit();
-                rc.store()->appendManifest(key, "hit", job.label);
+                emitCacheEvent(EventKind::JobCacheHit, job.label, key);
             } else {
                 rc.noteMiss();
-                rc.store()->appendManifest(key, "miss", job.label);
+                emitCacheEvent(EventKind::JobCacheMiss, job.label, key);
             }
         }
 
@@ -222,8 +235,8 @@ runJob(const BatchJob &job, StatRegistry *registry,
                     start = n;  // stale over-long checkpoint
                 if (start > 0) {
                     rc.noteResume();
-                    rc.store()->appendManifest(key, "resume",
-                                               job.label);
+                    emitCacheEvent(EventKind::JobResume, job.label,
+                                   key);
                 }
             }
             // Cooperative interruption, polled at frame boundaries
@@ -303,7 +316,8 @@ runJob(const BatchJob &job, StatRegistry *registry,
                                                  "job." + job.label);
                 rc.store()->store(key, out);
                 rc.noteStore();
-                rc.store()->appendManifest(key, "store", job.label);
+                emitCacheEvent(EventKind::JobCacheStore, job.label,
+                               key);
             }
             // The job completed; its checkpoint has served its purpose.
             if (ckpt_armed)
@@ -395,7 +409,8 @@ emitJobOutcome(const BatchResult &res)
         }
     }
     // Failure artifacts must not wait for a clean process exit; the
-    // events flush hook drains job_error onto disk here.
+    // trace and telemetry flush hooks run here (the ledger's
+    // job_error line is already on disk).
     if (!res.ok)
         flushFailureArtifacts();
 }

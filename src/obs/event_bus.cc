@@ -1,16 +1,12 @@
 #include "obs/event_bus.hh"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
+#include <sys/sysinfo.h>
 #include <unistd.h>
 
-#include "common/channel.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/sim_error.hh"
@@ -18,9 +14,6 @@
 namespace dtexl {
 
 namespace {
-
-/** Bounded queue depth; producers block (briefly) when 4k events lag. */
-constexpr std::size_t kBusCapacity = 4096;
 
 /** Minimum interval between live progress prints. */
 constexpr std::chrono::milliseconds kProgressInterval{200};
@@ -35,10 +28,9 @@ wallMillisNow()
 }
 
 /**
- * Live progress state, owned by the writer thread (single writer, no
- * locking) and fed from the event stream itself: job_submit announces
- * totals, job_frame drives the rate/ETA, job_complete/job_error close
- * jobs out.
+ * Live progress state, guarded by the bus lock and fed from the event
+ * stream itself: job_submit announces totals, job_frame drives the
+ * rate/ETA, job_complete/job_error close jobs out.
  */
 struct ProgressMeter
 {
@@ -132,81 +124,48 @@ struct ProgressMeter
 
 struct EventBus::Impl
 {
-    using Tap =
-        std::function<void(std::uint64_t, const std::string &)>;
-
+    // Everything below is guarded by mu: emit() stamps, numbers,
+    // renders, writes and taps one event per critical section, so
+    // lines never interleave and seq order is file order.
     std::mutex mu;
-    std::condition_variable drainedCv;
-    std::unique_ptr<Channel<RunEvent>> chan;
-    std::thread writer;
-    std::shared_ptr<const Tap> tap;
+    std::function<void(std::uint64_t, const std::string &)> tap;
     FILE *out = nullptr;
     std::string ledgerPath;
     bool progress = false;
     bool running = false;
     bool hooked = false;
     bool runStartDone = false;
-    bool runEndQueued = false;
     std::string invocation;
-    std::uint64_t emitted = 0;
-    std::uint64_t written = 0;
     std::chrono::steady_clock::time_point t0{};
-
-    // Writer-thread state: the single writer assigns seq and owns the
-    // meter, so neither needs synchronization.
     std::uint64_t seq = 0;
     ProgressMeter meter;
 
-    /** Start the writer thread; caller holds mu. */
+    /** Arm the bus; caller holds mu. */
     void
     startLocked()
     {
         if (running)
             return;
-        chan = std::make_unique<Channel<RunEvent>>(kBusCapacity);
         t0 = std::chrono::steady_clock::now();
         seq = 0;
-        written = 0;
-        emitted = 0;
         meter = ProgressMeter{};
         running = true;
         armedFlag.store(true, std::memory_order_relaxed);
-        writer = std::thread([this] { writerLoop(); });
         if (!hooked) {
             hooked = true;
             std::atexit([] { EventBus::global().finish(); });
-            // A failing job's catch block emits job_error and then
-            // flushes: the drain barrier guarantees the ledger holds
-            // the error before the crash report is read.
-            registerFailureFlush([] { EventBus::global().flush(); });
         }
     }
 
+    /** Stamp, render, append and tap one line; caller holds mu. */
     void
-    writerLoop()
+    writeLocked(RunEvent &ev)
     {
-        while (std::optional<RunEvent> ev = chan->pop()) {
-            writeEvent(*ev);
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                ++written;
-            }
-            drainedCv.notify_all();
-        }
-    }
-
-    /** Render + append one line; writer thread only. */
-    void
-    writeEvent(const RunEvent &ev)
-    {
-        // Snapshot the tap under the lock; invoke it outside so a slow
-        // subscriber can't deadlock against setTap().
-        std::shared_ptr<const Tap> tapLocal;
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            tapLocal = tap;
-        }
-        if (out || tapLocal) {
+        ev.tsMs = wallMillisNow();
+        ev.tMs = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+        if (out || tap) {
             JsonWriter w;
             if (ev.kind == EventKind::RunStart)
                 w.str("schema", "dtexl-events-v1");
@@ -235,8 +194,8 @@ struct EventBus::Impl
             // After the file write: a tap sees only lines that are
             // already on disk, so file replay + live stream splice
             // seamlessly on seq.
-            if (tapLocal)
-                (*tapLocal)(seq, text);
+            if (tap)
+                tap(seq, text);
         }
         ++seq;
 
@@ -318,7 +277,7 @@ EventBus::emitRunStart(std::uint64_t configDigest,
         .str("build", hex[1])
         .str("simd", simd)
         .u64("pid", static_cast<std::uint64_t>(::getpid()))
-        .u64("nproc", std::thread::hardware_concurrency());
+        .u64("nproc", static_cast<std::uint64_t>(::get_nprocs()));
     const char *host = std::getenv("HOSTNAME");
     ev.str("host", host ? host : "");
     emit(std::move(ev));
@@ -328,66 +287,26 @@ void
 EventBus::emit(RunEvent ev)
 {
     Impl &im = impl();
-    {
-        std::lock_guard<std::mutex> lk(im.mu);
-        if (!im.running)
-            return;
-        ++im.emitted;
-        ev.tsMs = wallMillisNow();
-        ev.tMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - im.t0)
-                     .count();
-    }
-    if (!im.chan->push(std::move(ev))) {
-        // Channel closed mid-emit (finish() raced us): the event is
-        // dropped, so it must not count against the drain barrier.
-        std::lock_guard<std::mutex> lk(im.mu);
-        --im.emitted;
-        im.drainedCv.notify_all();
-    }
-}
-
-void
-EventBus::flush()
-{
-    Impl &im = impl();
-    std::unique_lock<std::mutex> lk(im.mu);
-    if (!im.running)
-        return;
-    const std::uint64_t target = im.emitted;
-    im.drainedCv.wait(lk, [&] { return im.written >= target; });
-    if (im.out)
-        std::fflush(im.out);
+    std::lock_guard<std::mutex> lk(im.mu);
+    if (im.running)
+        im.writeLocked(ev);
 }
 
 void
 EventBus::finish()
 {
     Impl &im = impl();
-    bool emitEnd = false;
-    {
-        std::lock_guard<std::mutex> lk(im.mu);
-        if (!im.running)
-            return;
-        if (!im.runEndQueued) {
-            im.runEndQueued = true;
-            emitEnd = true;
-        }
-    }
-    if (emitEnd)
-        emit(RunEvent(EventKind::RunEnd));
-    armedFlag.store(false, std::memory_order_relaxed);
-    im.chan->close();
-    if (im.writer.joinable())
-        im.writer.join();
     std::lock_guard<std::mutex> lk(im.mu);
+    if (!im.running)
+        return;
+    RunEvent end(EventKind::RunEnd);
+    im.writeLocked(end);
+    armedFlag.store(false, std::memory_order_relaxed);
     im.running = false;
     if (im.out) {
-        std::fflush(im.out);
         std::fclose(im.out);
         im.out = nullptr;
     }
-    im.drainedCv.notify_all();
 }
 
 void
@@ -396,8 +315,7 @@ EventBus::setTap(
 {
     Impl &im = impl();
     std::lock_guard<std::mutex> lk(im.mu);
-    im.tap = tap ? std::make_shared<const Impl::Tap>(std::move(tap))
-                 : nullptr;
+    im.tap = std::move(tap);
 }
 
 void
@@ -410,7 +328,6 @@ EventBus::resetForTests()
     im.ledgerPath.clear();
     im.progress = false;
     im.runStartDone = false;
-    im.runEndQueued = false;
     im.invocation.clear();
 }
 

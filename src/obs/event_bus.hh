@@ -5,20 +5,16 @@
  * a live stderr progress line from the same stream.
  *
  * Design (DESIGN.md "Run observability"):
- *  - Producers (batch workers, the cache layer, CLI drivers) stamp an
- *    event and push it into a bounded Channel<RunEvent>
- *    (common/channel.hh).
- *  - ONE writer thread pops events, assigns the monotonic `seq`,
- *    renders the JSONL line, appends it to the ledger file, and
- *    updates the progress meter. Single-writer means lines never
- *    interleave and `seq` needs no synchronization.
- *  - flush() is a drain barrier: it waits until every event emitted
- *    before the call is on disk, then fflush()es — registered as a
- *    failure-flush hook (common/sim_error.hh) so a crashing job still
- *    leaves a valid ledger ending in its job_error line.
- *  - finish() emits run_end (with totals accumulated by the writer),
- *    drains, joins the writer and closes the file; an atexit backstop
- *    arms it so every exit path terminates the ledger.
+ *  - emit() does all of its work on the calling thread under one
+ *    lock: it stamps the event, assigns the monotonic `seq`, renders
+ *    the JSONL line, appends and fflush()es it, hands it to the tap,
+ *    and updates the progress meter. Lines never interleave, seq
+ *    order is file order, and every line is on disk when emit()
+ *    returns — so a failing job's job_error is in the ledger before
+ *    the failure is reported.
+ *  - finish() writes run_end (with the meter's totals) and closes the
+ *    file; an atexit backstop arms it so every exit path terminates
+ *    the ledger.
  *
  * Determinism: the ledger never feeds back into the simulation —
  * emission is observe-only — so FrameStats/imageHash/stats-JSON are
@@ -45,15 +41,15 @@ class EventBus
     static EventBus &global();
 
     /**
-     * Arm the ledger (--events=FILE): open @p path for append, start
-     * the writer thread, register the atexit/failure-flush hooks.
+     * Arm the ledger (--events=FILE): open @p path for writing and
+     * register the atexit hook.
      * Throws SimError{Io} when the file cannot be opened.
      */
     void enable(const std::string &path);
 
     /**
-     * Arm the live progress line (--progress) — runs the same writer
-     * thread with or without a ledger file.
+     * Arm the live progress line (--progress) — fed by the same
+     * emit() path with or without a ledger file.
      */
     void enableProgress();
 
@@ -88,30 +84,28 @@ class EventBus
                       std::uint64_t buildFingerprint,
                       const std::string &simd);
 
-    /** Enqueue one event; no-op when the bus is not armed. */
+    /**
+     * Write one event (ledger line, tap, progress meter) before
+     * returning; no-op when the bus is not armed. Safe from any
+     * thread.
+     */
     void emit(RunEvent ev);
 
     /**
-     * Drain barrier: block until every event emitted before this call
-     * is written, then fflush() the ledger. Never throws; safe from
-     * any thread (this is the failure-flush hook).
-     */
-    void flush();
-
-    /**
-     * Emit run_end with the accumulated totals, drain, join the writer
-     * and close the ledger. Idempotent; armed() is false afterwards.
+     * Write run_end with the accumulated totals and close the ledger.
+     * Idempotent; armed() is false afterwards.
      */
     void finish();
 
     /**
      * Event-forwarding hook (dtexld's `subscribe`): @p tap receives
-     * every rendered ledger line with its seq, on the writer thread,
-     * after the line is on disk — so a tap observes exactly the file's
-     * content and order, and seq lets a late subscriber splice a file
-     * replay with the live stream without duplicates. The tap must not
-     * emit events (it runs downstream of the queue) and should be
-     * fast; it serializes the ledger. Null clears.
+     * every rendered ledger line with its seq, on the emitting thread
+     * under the bus lock, after the line is on disk — so a tap
+     * observes exactly the file's content and order, and seq lets a
+     * late subscriber splice a file replay with the live stream
+     * without duplicates. The tap must not emit events or call back
+     * into the bus (it holds the bus lock) and should be fast; it
+     * stalls every emitter. Null clears.
      */
     void setTap(
         std::function<void(std::uint64_t seq, const std::string &line)>

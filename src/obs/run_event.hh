@@ -5,8 +5,8 @@
  * A RunEvent is one line of the JSONL ledger: an EventKind, the job it
  * belongs to (empty for run-scoped events), producer-side timestamps,
  * and an ordered list of key/value fields. Values are rendered to JSON
- * tokens by common/json.hh at the emission site so the writer thread
- * never interprets them; the two counts the live progress meter reads
+ * tokens by common/json.hh at the emission site so the bus never
+ * interprets them; the two counts the live progress meter reads
  * (frames, cached) are also kept as integers.
  *
  * Event vocabulary (schema `dtexl-events-v1`, see DESIGN.md "Run

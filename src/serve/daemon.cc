@@ -666,6 +666,8 @@ Daemon::handleDrain(int level)
 void
 Daemon::handleSubscribe(int fd)
 {
+    // Ask the bus before taking subMu_: the tap runs under the bus
+    // lock and takes subMu_, so the lock order is bus -> subMu_.
     const std::string ledger = EventBus::global().path();
     if (ledger.empty()) {
         writeAll(fd, errorLine("no event ledger armed"));
@@ -707,13 +709,8 @@ Daemon::handleSubscribe(int fd)
 }
 
 std::string
-Daemon::dispatch(const std::string &line)
+Daemon::dispatch(const std::string &cmd, const JsonValue &req)
 {
-    JsonValue req;
-    std::string err;
-    if (!parseJson(line, req, err))
-        return errorLine("bad request: " + err);
-    const std::string cmd = req.str("cmd");
     if (cmd == "ping")
         return handlePing();
     if (cmd == "submit")
@@ -741,19 +738,24 @@ Daemon::connLoop(int fd)
     while (reader.next(line)) {
         if (line.empty())
             continue;
+        JsonValue req;
+        std::string err;
+        if (!parseJson(line, req, err)) {
+            if (!writeAll(fd, errorLine("bad request: " + err)))
+                break;
+            continue;
+        }
+        const std::string cmd = req.str("cmd");
         // subscribe switches the connection into streaming mode; it
         // returns only when the subscription ends.
-        JsonValue probe;
-        std::string perr;
-        if (parseJson(line, probe, perr) &&
-            probe.str("cmd") == "subscribe") {
+        if (cmd == "subscribe") {
             handleSubscribe(fd);
             break;
         }
-        const std::string resp = dispatch(line);
-        const bool wasDrain =
-            resp.find("\"drained\":true") != std::string::npos;
-        if (!writeAll(fd, resp) || wasDrain)
+        // A drain reply is the connection's last: the daemon is
+        // going away.
+        if (!writeAll(fd, dispatch(cmd, req)) || cmd == "drain" ||
+            cmd == "shutdown")
             break;
     }
     ::shutdown(fd, SHUT_RDWR);
@@ -763,8 +765,28 @@ Daemon::connLoop(int fd)
         std::lock_guard<std::mutex> lk(connMu_);
         connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
                        connFds_.end());
+        endedConns_.push_back(std::this_thread::get_id());
     }
     ::close(fd);
+}
+
+void
+Daemon::joinEndedConnections()
+{
+    std::vector<std::thread::id> ended;
+    {
+        std::lock_guard<std::mutex> lk(connMu_);
+        ended.swap(endedConns_);
+    }
+    // Every id belongs to a thread already in connThreads_: the accept
+    // loop stores each thread before it next gets here.
+    for (const std::thread::id id : ended) {
+        auto it = std::find_if(
+            connThreads_.begin(), connThreads_.end(),
+            [id](const std::thread &t) { return t.get_id() == id; });
+        it->join();
+        connThreads_.erase(it);
+    }
 }
 
 void
@@ -855,6 +877,10 @@ Daemon::acceptLoop()
             warn("dtexld: poll: %s", std::strerror(errno));
             return;
         }
+        // Release ended connections' threads (and their stacks) now,
+        // not at the drain: a client polling `status` opens a
+        // connection per request.
+        joinEndedConnections();
         if (fds[1].revents & POLLIN) {
             char sink[64];
             while (::read(wakePipe_[0], sink, sizeof(sink)) > 0) {
@@ -900,7 +926,9 @@ Daemon::run()
         installDrainHandlers(/*forceExitAt=*/3);
     }
 
-    // 3. Live event streaming for subscribers.
+    // 3. Live event streaming for subscribers. The tap runs on the
+    //    emitting thread under the bus lock, so a subscriber that
+    //    stops reading stalls emitters once its socket buffer fills.
     EventBus::global().setTap([this](std::uint64_t seq,
                                      const std::string &line) {
         std::lock_guard<std::mutex> lk(subMu_);
@@ -973,13 +1001,10 @@ Daemon::run()
     if (retryThread_.joinable())
         retryThread_.join();
 
-    // Flush + close the ledger: run_end reaches disk AND the
-    // subscribers (the tap runs on the writer thread) before any
-    // socket is torn down.
-    if (EventBus::armed()) {
-        EventBus::global().flush();
+    // Close the ledger: run_end reaches disk AND the subscribers
+    // (the tap runs inside emit) before any socket is torn down.
+    if (EventBus::armed())
         EventBus::global().finish();
-    }
 
     const std::string report = buildDrainReport();
     {

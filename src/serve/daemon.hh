@@ -72,9 +72,10 @@ struct DaemonConfig
 /**
  * The daemon. Construct, then run() — which owns the calling thread
  * until the daemon drains. Internally: an accept loop (poll on the
- * listen socket + a signal wake pipe), one thread per connection, a
- * worker pool popping the admission queue, and a retry timer thread
- * re-queueing RetryWait jobs when their backoff elapses.
+ * listen socket + a signal wake pipe), one thread per connection
+ * (joined by the accept loop once the connection ends), a worker pool
+ * popping the admission queue, and a retry timer thread re-queueing
+ * RetryWait jobs when their backoff elapses.
  */
 class Daemon
 {
@@ -98,11 +99,12 @@ class Daemon
     // -- threads --
     void acceptLoop();
     void connLoop(int fd);
+    void joinEndedConnections();
     void workerLoop(unsigned worker);
     void retryLoop();
 
     // -- command handlers (return one '\n'-terminated response) --
-    std::string dispatch(const std::string &line);
+    std::string dispatch(const std::string &cmd, const JsonValue &req);
     std::string handleSubmit(const JsonValue &req);
     std::string handleStatus(const JsonValue &req);
     std::string handleCancel(const JsonValue &req);
@@ -135,6 +137,8 @@ class Daemon
 
     std::vector<std::thread> workers_;
     std::thread retryThread_;
+    /** Connection threads; only the accept loop (then run()) touches
+     *  this vector. */
     std::vector<std::thread> connThreads_;
 
     // Daemon-wide state under mu_ (cv_ signals drain progress).
@@ -158,6 +162,9 @@ class Daemon
     int wakePipe_[2] = {-1, -1};
     std::mutex connMu_;
     std::vector<int> connFds_;
+    /** Connection threads that have finished, for the accept loop to
+     *  join (joinEndedConnections()). */
+    std::vector<std::thread::id> endedConns_;
 
     struct Subscriber
     {

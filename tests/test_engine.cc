@@ -11,6 +11,7 @@
 
 #include "core/dtexl.hh"
 #include "harness.hh"
+#include "stats_equality.hh"
 #include "workloads/scenegen.hh"
 
 namespace dtexl {
@@ -23,46 +24,6 @@ smallCfg()
     cfg.screenWidth = 256;
     cfg.screenHeight = 128;
     return cfg;
-}
-
-/** Every FrameStats field, including the distributions. */
-void
-expectSameStats(const FrameStats &a, const FrameStats &b,
-                const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.geometryCycles, b.geometryCycles);
-    EXPECT_EQ(a.rasterCycles, b.rasterCycles);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_DOUBLE_EQ(a.fps, b.fps);
-    EXPECT_EQ(a.verticesProcessed, b.verticesProcessed);
-    EXPECT_EQ(a.primitivesBinned, b.primitivesBinned);
-    EXPECT_EQ(a.quadsRasterized, b.quadsRasterized);
-    EXPECT_EQ(a.quadsCulledEarlyZ, b.quadsCulledEarlyZ);
-    EXPECT_EQ(a.quadsCulledHiZ, b.quadsCulledHiZ);
-    EXPECT_EQ(a.quadsShaded, b.quadsShaded);
-    EXPECT_EQ(a.fragmentsShaded, b.fragmentsShaded);
-    EXPECT_EQ(a.shaderInstructions, b.shaderInstructions);
-    EXPECT_EQ(a.textureSamples, b.textureSamples);
-    EXPECT_EQ(a.earlyZTests, b.earlyZTests);
-    EXPECT_EQ(a.blendOps, b.blendOps);
-    EXPECT_EQ(a.flushLineWrites, b.flushLineWrites);
-    EXPECT_EQ(a.flushesEliminated, b.flushesEliminated);
-    EXPECT_EQ(a.l1TexAccesses, b.l1TexAccesses);
-    EXPECT_EQ(a.l1TexMisses, b.l1TexMisses);
-    EXPECT_EQ(a.l1VertexAccesses, b.l1VertexAccesses);
-    EXPECT_EQ(a.l1TileAccesses, b.l1TileAccesses);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses);
-    EXPECT_EQ(a.quadsPerSc, b.quadsPerSc);
-    EXPECT_EQ(a.barrierIdleCycles, b.barrierIdleCycles);
-    EXPECT_EQ(a.tileTimeDeviation.samples(),
-              b.tileTimeDeviation.samples());
-    EXPECT_EQ(a.tileQuadDeviation.samples(),
-              b.tileQuadDeviation.samples());
-    EXPECT_DOUBLE_EQ(a.textureReplication, b.textureReplication);
-    EXPECT_EQ(a.imageHash, b.imageHash);
 }
 
 TEST(Engine, SessionAccumulatesHistory)

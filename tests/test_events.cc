@@ -3,8 +3,8 @@
  * Run-event ledger tests (obs/event_bus.hh): the JSONL ledger must be
  * well-formed line by line, bracketed by run_start/run_end with a
  * monotonic seq, carry the full batch lifecycle (submit → start →
- * frame → complete), mirror the cache manifest as events, survive a
- * failing job with a valid job_error line already flushed to disk,
+ * frame → complete), record result-cache traffic as events, survive a
+ * failing job with a valid job_error line already on disk,
  * and hold content-identical events for any worker count. Arming the
  * bus must never change a simulated statistic.
  */
@@ -244,8 +244,8 @@ TEST_F(EventBusTest, FailingJobLeavesValidLedgerWithJobError)
     EXPECT_TRUE(results[0].ok);
     EXPECT_FALSE(results[1].ok);
 
-    // The failure path flushed through the failure-flush hook: the
-    // job_error line is on disk BEFORE finish() closes the ledger.
+    // emit() writes synchronously: the job_error line is on disk
+    // BEFORE finish() closes the ledger.
     {
         const std::vector<JsonValue> mid = readLedger(path);
         EXPECT_EQ(countByEvent(mid)["job_error"], 1);
@@ -336,15 +336,6 @@ TEST_F(EventBusTest, ProgressLineReachesStderr)
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("progress:"), std::string::npos) << err;
     EXPECT_NE(err.find("frames/s"), std::string::npos) << err;
-}
-
-TEST_F(EventBusTest, FlushIsSafeWhenDisarmed)
-{
-    // The failure-flush hook may fire in a process that never armed
-    // the bus; both calls must be harmless no-ops.
-    EventBus::global().flush();
-    EventBus::global().finish();
-    EXPECT_FALSE(EventBus::armed());
 }
 
 } // namespace

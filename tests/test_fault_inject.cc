@@ -20,6 +20,7 @@
 #include "common/json.hh"
 #include "common/sim_error.hh"
 #include "core/dtexl.hh"
+#include "stats_equality.hh"
 #include "telemetry/export.hh"
 #include "workloads/scene_io.hh"
 #include "workloads/scenegen.hh"
@@ -34,27 +35,6 @@ smallCfg()
     cfg.screenWidth = 256;
     cfg.screenHeight = 128;
     return cfg;
-}
-
-/** Full FrameStats equality (the bit-exactness oracle). */
-void
-expectSameStats(const FrameStats &a, const FrameStats &b,
-                const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.geometryCycles, b.geometryCycles);
-    EXPECT_EQ(a.rasterCycles, b.rasterCycles);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.verticesProcessed, b.verticesProcessed);
-    EXPECT_EQ(a.quadsRasterized, b.quadsRasterized);
-    EXPECT_EQ(a.quadsShaded, b.quadsShaded);
-    EXPECT_EQ(a.quadsCulledEarlyZ, b.quadsCulledEarlyZ);
-    EXPECT_EQ(a.quadsCulledHiZ, b.quadsCulledHiZ);
-    EXPECT_EQ(a.l1TexAccesses, b.l1TexAccesses);
-    EXPECT_EQ(a.l1TexMisses, b.l1TexMisses);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses);
 }
 
 /** One single-frame BatchJob over a static scene. */

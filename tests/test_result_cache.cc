@@ -29,6 +29,7 @@
 #include "common/log.hh"
 #include "common/serial.hh"
 #include "core/dtexl.hh"
+#include "stats_equality.hh"
 #include "workloads/scene_io.hh"
 #include "workloads/scenegen.hh"
 
@@ -52,61 +53,6 @@ tempDir(const std::string &name)
                             "." + std::to_string(::getpid());
     ensureDirectory(dir);
     return dir;
-}
-
-/** Every FrameStats field, including the image hash. */
-void
-expectSameStats(const FrameStats &a, const FrameStats &b,
-                const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.geometryCycles, b.geometryCycles);
-    EXPECT_EQ(a.rasterCycles, b.rasterCycles);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_DOUBLE_EQ(a.fps, b.fps);
-    EXPECT_EQ(a.verticesProcessed, b.verticesProcessed);
-    EXPECT_EQ(a.primitivesBinned, b.primitivesBinned);
-    EXPECT_EQ(a.quadsRasterized, b.quadsRasterized);
-    EXPECT_EQ(a.quadsCulledEarlyZ, b.quadsCulledEarlyZ);
-    EXPECT_EQ(a.quadsCulledHiZ, b.quadsCulledHiZ);
-    EXPECT_EQ(a.quadsShaded, b.quadsShaded);
-    EXPECT_EQ(a.fragmentsShaded, b.fragmentsShaded);
-    EXPECT_EQ(a.shaderInstructions, b.shaderInstructions);
-    EXPECT_EQ(a.textureSamples, b.textureSamples);
-    EXPECT_EQ(a.earlyZTests, b.earlyZTests);
-    EXPECT_EQ(a.blendOps, b.blendOps);
-    EXPECT_EQ(a.flushLineWrites, b.flushLineWrites);
-    EXPECT_EQ(a.flushesEliminated, b.flushesEliminated);
-    EXPECT_EQ(a.l1TexAccesses, b.l1TexAccesses);
-    EXPECT_EQ(a.l1TexMisses, b.l1TexMisses);
-    EXPECT_EQ(a.l1VertexAccesses, b.l1VertexAccesses);
-    EXPECT_EQ(a.l1TileAccesses, b.l1TileAccesses);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses);
-    EXPECT_EQ(a.quadsPerSc, b.quadsPerSc);
-    EXPECT_EQ(a.tileTimeDeviation.samples(), b.tileTimeDeviation.samples());
-    EXPECT_EQ(a.tileQuadDeviation.samples(), b.tileQuadDeviation.samples());
-    EXPECT_EQ(a.barrierIdleCycles, b.barrierIdleCycles);
-    EXPECT_DOUBLE_EQ(a.textureReplication, b.textureReplication);
-    EXPECT_EQ(a.imageHash, b.imageHash);
-}
-
-/** Full registry equality, minus the host wall-clock counters. */
-void
-expectSameRegistry(const StatRegistry &a, const StatRegistry &b)
-{
-    ASSERT_EQ(a.paths(), b.paths());
-    for (const std::string &path : a.paths()) {
-        const auto &ca = a.find(path)->counters();
-        const auto &cb = b.find(path)->counters();
-        ASSERT_EQ(ca.size(), cb.size()) << path;
-        for (const auto &[key, value] : ca) {
-            if (key == "wall_us")
-                continue;
-            EXPECT_EQ(value, cb.at(key)) << path << "." << key;
-        }
-    }
 }
 
 // ---- Serialization primitives ------------------------------------

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -860,6 +862,59 @@ TEST(ServeDaemon, DrainUnblocksConnectionsHeldOpen)
             << "trial " << trial << ": drain hung on a connection held open";
         EXPECT_EQ(d.exitCode(), 0);
     }
+}
+
+/** This process's VmSize in kB, from /proc/self/status (0 if absent). */
+long long
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::atoll(line.c_str() + 7);
+    }
+    return 0;
+}
+
+TEST(ServeDaemon, EndedConnectionsReleaseTheirThreads)
+{
+    // Each connection runs on its own thread. A daemon that kept the
+    // thread of every ended connection until its drain grew by one
+    // 8 MiB stack mapping per connection: 64 sequential pings cost
+    // about 512 MiB of address space, and a client polling `status`
+    // grew it without bound.
+    //
+    // One malloc arena for the whole process: otherwise a daemon
+    // thread's first allocation after `before` (the retry timer's,
+    // say) adds a 64 MiB arena to VmSize and the count stops
+    // measuring thread lifetime.
+    ::mallopt(M_ARENA_MAX, 1);
+    DaemonFixture d;
+    const long long before = vmSizeKb();
+    ASSERT_GT(before, 0) << "no VmSize in /proc/self/status";
+    for (int i = 0; i < 64; ++i) {
+        // Ping, then wait for the daemon to hang up: each
+        // connection has ended on both sides before the next opens,
+        // so no connection thread is still running when the next
+        // one starts.
+        const int fd = TestClient::connect(d.socketPath());
+        ASSERT_GE(fd, 0);
+        const std::string ping = "{\"cmd\":\"ping\"}\n";
+        ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(ping.size()));
+        ::shutdown(fd, SHUT_WR);
+        std::string resp;
+        char buf[256];
+        ssize_t n;
+        while ((n = ::read(fd, buf, sizeof(buf))) > 0)
+            resp.append(buf, static_cast<std::size_t>(n));
+        ::close(fd);
+        ASSERT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+    }
+    const long long grown = vmSizeKb() - before;
+    EXPECT_LT(grown, 128 * 1024)
+        << "VmSize grew by " << grown << " kB over 64 connections";
 }
 
 TEST(ServeDaemon, SignalDrainExitsInterrupted)

@@ -24,6 +24,7 @@
 #include "common/json.hh"
 #include "common/stat_registry.hh"
 #include "core/gpu.hh"
+#include "stats_equality.hh"
 #include "telemetry/export.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/unit_track.hh"
@@ -196,39 +197,6 @@ TEST(TelemetryIntegration, InvariantHoldsAtLevelTwo)
     expectInvariant(runFrames(cfg, "GTr", 2), "level-2");
 }
 
-/** Fields that must not move when telemetry is switched on. */
-void
-expectSameFrames(const std::vector<FrameStats> &a,
-                 const std::vector<FrameStats> &b, const char *what)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t f = 0; f < a.size(); ++f) {
-        const FrameStats &x = a[f];
-        const FrameStats &y = b[f];
-        EXPECT_EQ(x.geometryCycles, y.geometryCycles) << what << f;
-        EXPECT_EQ(x.rasterCycles, y.rasterCycles) << what << f;
-        EXPECT_EQ(x.totalCycles, y.totalCycles) << what << f;
-        EXPECT_EQ(x.quadsRasterized, y.quadsRasterized) << what << f;
-        EXPECT_EQ(x.quadsCulledEarlyZ, y.quadsCulledEarlyZ)
-            << what << f;
-        EXPECT_EQ(x.quadsShaded, y.quadsShaded) << what << f;
-        EXPECT_EQ(x.fragmentsShaded, y.fragmentsShaded) << what << f;
-        EXPECT_EQ(x.textureSamples, y.textureSamples) << what << f;
-        EXPECT_EQ(x.earlyZTests, y.earlyZTests) << what << f;
-        EXPECT_EQ(x.blendOps, y.blendOps) << what << f;
-        EXPECT_EQ(x.flushLineWrites, y.flushLineWrites) << what << f;
-        EXPECT_EQ(x.l1TexAccesses, y.l1TexAccesses) << what << f;
-        EXPECT_EQ(x.l1TexMisses, y.l1TexMisses) << what << f;
-        EXPECT_EQ(x.l2Accesses, y.l2Accesses) << what << f;
-        EXPECT_EQ(x.l2Misses, y.l2Misses) << what << f;
-        EXPECT_EQ(x.dramAccesses, y.dramAccesses) << what << f;
-        EXPECT_EQ(x.quadsPerSc, y.quadsPerSc) << what << f;
-        EXPECT_EQ(x.barrierIdleCycles, y.barrierIdleCycles)
-            << what << f;
-        EXPECT_EQ(x.imageHash, y.imageHash) << what << f;
-    }
-}
-
 TEST(TelemetryIntegration, ObservationOnlyAcrossKnobLevels)
 {
     // Telemetry derives everything from cycles the pipeline computes
@@ -241,14 +209,14 @@ TEST(TelemetryIntegration, ObservationOnlyAcrossKnobLevels)
 
         GpuConfig l1 = base;
         l1.telemetryLevel = 1;
-        expectSameFrames(off.frames, runFrames(l1, "GTr", 2).frames,
-                         dtexl ? "dtexl-l1 frame " : "base-l1 frame ");
+        expectSameHistory(off.frames, runFrames(l1, "GTr", 2).frames,
+                          dtexl ? "dtexl-l1" : "base-l1");
 
         GpuConfig l2 = base;
         l2.telemetryLevel = 2;
         l2.telemetrySamplePeriod = 256;
-        expectSameFrames(off.frames, runFrames(l2, "GTr", 2).frames,
-                         dtexl ? "dtexl-l2 frame " : "base-l2 frame ");
+        expectSameHistory(off.frames, runFrames(l2, "GTr", 2).frames,
+                          dtexl ? "dtexl-l2" : "base-l2");
     }
 }
 
