@@ -187,6 +187,24 @@ TEST(FaultInject, DroppedMemCompletionTripsWatchdogWithIsolation)
     EXPECT_NE(report.find("shader cores"), std::string::npos);
     EXPECT_NE(report.find("raster pipeline"), std::string::npos);
     EXPECT_NE(report.find("memory in flight"), std::string::npos);
+    // The shader-core state at the trip, recorded before ALU issue
+    // left the cross-core merge: every core has processed exactly the
+    // events that precede the parked one in (cycle, core) order.
+    const std::size_t sc_begin = report.find("shader cores");
+    const std::size_t sc_end = report.find("raster pipeline", sc_begin);
+    ASSERT_NE(sc_end, std::string::npos);
+    EXPECT_EQ(report.substr(sc_begin, sc_end - sc_begin),
+              "shader cores (last progress cycle 1224)\n"
+              "  sc0: 1 active warp(s), admitted 67/67 quads, next issue "
+              "at 1225\n"
+              "    warp 0: quad 0 (batch 0), ready at 4611686018427387908 "
+              "(+4611686018427386684), alu left 1, tex left 1\n"
+              "  sc1: 0 active warp(s), admitted 67/67 quads, next issue "
+              "at 1225\n"
+              "  sc2: 0 active warp(s), admitted 67/67 quads, next issue "
+              "at 1219\n"
+              "  sc3: 0 active warp(s), admitted 67/67 quads, next issue "
+              "at 1220\n");
 
     ASSERT_TRUE(res[1].ok) << res[1].error;
     ASSERT_EQ(res[1].frames.size(), 1u);
@@ -232,6 +250,33 @@ TEST(FaultInject, BarrierCreditLeakTripsWatchdogWithIsolation)
 
     std::remove(res[0].crashReportPath.c_str());
     setCrashReportDir(".");
+}
+
+TEST(FaultInject, WatchdogBoundaryIsPinned)
+{
+    // The smallest budget that renders smallCfg() GTr, found by
+    // bisection and recorded before ALU issue left the cross-core
+    // merge of the shader-core loop. One cycle less trips the
+    // per-tile check with exactly this message.
+    constexpr Cycle kBoundary = 2301;
+    GpuConfig cfg = smallCfg();
+    const Scene scene = generateScene(benchmarkByAlias("GTr"), cfg, 0);
+    cfg.watchdogCycles = kBoundary;
+    GpuSimulator pass(cfg, scene);
+    EXPECT_NO_THROW(pass.renderFrame());
+
+    cfg.watchdogCycles = kBoundary - 1;
+    GpuSimulator trip(cfg, scene);
+    try {
+        trip.renderFrame();
+        FAIL() << "expected a watchdog trip";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Watchdog);
+        EXPECT_EQ(std::string(e.what()),
+                  "no forward progress: tile 6 completes at cycle 10714, "
+                  "2301 cycles past the previous tile (budget 2300; "
+                  "watchdog_cycles=0 disables)");
+    }
 }
 
 TEST(FaultInject, WatchdogBudgetIsRespectedWhenHealthy)

@@ -223,20 +223,45 @@ digestStats(Fnv1a64 &h, const FrameStats &fs)
     }
 }
 
-/** Digest of 3 animated frames of @p alias rendered on one simulator. */
+/** Every registry counter path, key and value, except host wall time. */
+void
+digestRegistry(Fnv1a64 &h, StatRegistry &reg)
+{
+    for (const std::string &path : reg.paths()) {
+        h.str(path);
+        for (const auto &[key, value] : reg.node(path).counters()) {
+            if (key == "wall_us")
+                continue;
+            h.str(key);
+            h.u64(value);
+        }
+    }
+}
+
+/**
+ * Digest of 3 animated frames of @p alias rendered on one simulator;
+ * with @p with_registry, also of every registry counter afterwards
+ * (per-cache and telemetry attribution counters included).
+ */
 std::uint64_t
-threeFrameDigest(const GpuConfig &cfg, const char *alias)
+threeFrameDigest(const GpuConfig &cfg, const char *alias,
+                 bool with_registry = false)
 {
     const BenchmarkParams &p = benchmarkByAlias(alias);
     const Scene frames[3] = {generateScene(p, cfg, 0),
                              generateScene(p, cfg, 1),
                              generateScene(p, cfg, 2)};
+    StatRegistry reg("golden");
     GpuSimulator sim(cfg, frames[0]);
+    if (with_registry)
+        sim.setStatRegistry(&reg, "engine");
     Fnv1a64 h;
     for (const Scene &scene : frames) {
         sim.setScene(scene);
         digestStats(h, sim.renderFrame());
     }
+    if (with_registry)
+        digestRegistry(h, reg);
     return h.value();
 }
 
@@ -307,16 +332,48 @@ TEST(GoldenDigest, StatRegistryTreeSoD)
     (void)sim.renderFrame();
 
     Fnv1a64 h;
-    for (const std::string &path : reg.paths()) {
-        h.str(path);
-        for (const auto &[key, value] : reg.node(path).counters()) {
-            if (key == "wall_us")
-                continue;
-            h.str(key);
-            h.u64(value);
-        }
-    }
+    digestRegistry(h, reg);
     EXPECT_EQ(h.value(), 0x2590e98ea2a9c4adull);
+}
+
+/**
+ * Miss-heavy texture traffic from four cores at once: a 1 KiB texture
+ * L1 (4 sets) with next-line prefetch sends most reads to the shared
+ * L2, so the cross-core order of L2 requests shows in every L2/DRAM
+ * counter and, at telemetry level 1, in the L2 track's stall
+ * attribution. Recorded before ALU issue left the cross-core merge of
+ * the shader-core loop, one case per warp scheduling policy.
+ */
+GpuConfig
+missHeavy(WarpSched policy)
+{
+    GpuConfig cfg = small(GpuConfig{});
+    cfg.numPipelines = 4;
+    cfg.textureCache.sizeBytes = 1024;
+    cfg.texturePrefetch = true;
+    cfg.telemetryLevel = 1;
+    cfg.warpScheduler = policy;
+    return cfg;
+}
+
+TEST(GoldenDigest, MissHeavyEarliestReadyGTr)
+{
+    EXPECT_EQ(threeFrameDigest(missHeavy(WarpSched::EarliestReady), "GTr",
+                               true),
+              0x68f057d856129f2aull);
+}
+
+TEST(GoldenDigest, MissHeavyOldestFirstGTr)
+{
+    EXPECT_EQ(threeFrameDigest(missHeavy(WarpSched::OldestFirst), "GTr",
+                               true),
+              0xca388527ea8c59d3ull);
+}
+
+TEST(GoldenDigest, MissHeavyGreedyGTr)
+{
+    EXPECT_EQ(threeFrameDigest(missHeavy(WarpSched::Greedy), "GTr", true),
+              0x67c8e9447fdbcb6bull);
 }
 
 TEST(GoldenDigest, FigureCsvGrid)

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
+#include "common/serial.hh"
+#include "common/sim_error.hh"
 #include "core/shader_core.hh"
 #include "mem/address_map.hh"
 #include "workloads/scenegen.hh"
@@ -356,6 +359,84 @@ TEST_P(WarpSchedTest, FreedSlotIsNeverPicked)
     EXPECT_EQ(r.completion, (std::vector<Cycle>{alu, 1 + 6 * alu}));
     EXPECT_EQ(r.issues, 7u);
     EXPECT_EQ(core.stats().get("alu_ops"), 7u);
+}
+
+/**
+ * Four cores on one hierarchy with staggered arrivals, under a
+ * watchdog budget: core 2 starts late, core 3 idles mid-batch and
+ * warps wait on cold texture misses, so the gaps between events in
+ * (cycle, core) order cross cores as well as lie within one. Returns
+ * the completions, or the watchdog's message and state dump.
+ */
+std::string
+watchdogScenario(WarpSched policy, Cycle budget)
+{
+    CoreFixture f(/*alu=*/6, /*tex=*/2, /*max_warps=*/3);
+    f.cfg.warpScheduler = policy;
+    f.cfg.watchdogCycles = budget;
+    std::vector<std::unique_ptr<ShaderCore>> cores;
+    std::array<QuadStream, 4> streams;
+    std::array<std::vector<std::uint32_t>, 4> indices;
+    std::array<std::vector<Cycle>, 4> arrivals;
+    std::vector<ShaderCore *> core_ptrs;
+    std::vector<ShaderCore::BatchInput> inputs;
+    const std::size_t n = 12;
+    for (CoreId c = 0; c < 4; ++c) {
+        cores.push_back(
+            std::make_unique<ShaderCore>(c, f.cfg, f.mem, f.scene));
+        for (std::size_t i = 0; i < n; ++i) {
+            Quad q;
+            q.prim = &f.prim;
+            q.coverage = static_cast<std::uint8_t>(0xF >> (i % 3));
+            const float u =
+                static_cast<float>((c * 48 + i * 5) % 256) / 256.0f;
+            for (unsigned k = 0; k < 4; ++k)
+                q.frags[k].uv = {u, static_cast<float>(k * c) / 64.0f};
+            indices[c].push_back(streams[c].push(q));
+            arrivals[c].push_back(i * 11 + (c == 2 ? 3000 : 0) +
+                                  (c == 3 && i >= n / 2 ? 6000 : 0));
+        }
+        core_ptrs.push_back(cores.back().get());
+        inputs.push_back({&streams[c], &indices[c], &arrivals[c], 0});
+    }
+    std::ostringstream os;
+    try {
+        for (const auto &r : ShaderCore::runBatches(core_ptrs, inputs))
+            for (Cycle done : r.completion)
+                os << done << " ";
+    } catch (const SimError &e) {
+        os << e.what() << "\n" << e.dump();
+    }
+    return os.str();
+}
+
+TEST_P(WarpSchedTest, WatchdogVerdictsArePinned)
+{
+    // Verdicts, messages and state dumps over a sweep of budgets,
+    // recorded before ALU issue left the cross-core merge. The sweep
+    // brackets every inter-event gap of the scenario, and the
+    // smallest budget that completes is pinned on its own.
+    const WarpSched policy = GetParam();
+    Fnv1a64 h;
+    std::uint64_t trips = 0;
+    for (Cycle budget = 1; budget < 20000;
+         budget += std::max<Cycle>(1, budget / 8)) {
+        const std::string out = watchdogScenario(policy, budget);
+        trips += out.find("no forward progress") != std::string::npos;
+        h.str(out);
+    }
+    const std::size_t p = static_cast<std::size_t>(policy);
+    constexpr std::uint64_t kDigest[] = {0x24e7a33343cbdbb0ull,
+                                         0x03470b79be5d17e7ull,
+                                         0xe46b7d1f65ab102cull};
+    constexpr std::uint64_t kTrips[] = {61, 61, 61};
+    constexpr Cycle kBoundary[] = {2854, 2855, 2856};
+    EXPECT_EQ(h.value(), kDigest[p]);
+    EXPECT_EQ(trips, kTrips[p]);
+    EXPECT_EQ(watchdogScenario(policy, kBoundary[p]).find("no forward"),
+              std::string::npos);
+    EXPECT_NE(watchdogScenario(policy, kBoundary[p] - 1).find("no forward"),
+              std::string::npos);
 }
 
 TEST(ShaderCore, PartialCoverageSamplesFewerFragments)
