@@ -154,8 +154,13 @@ BM_DramStream(benchmark::State &state)
 BENCHMARK(BM_DramStream);
 
 /**
- * End-to-end memory path as the shader cores drive it: per-core L1
- * texture reads that spill into the shared L2 and DRAM.
+ * End-to-end memory path as the shader cores drive it: one texture
+ * instruction per iteration, four fragment samples of 1-4 lines each
+ * around a shared base (neighbouring fragments repeat lines, as
+ * bilinear footprints do), issued two fragments per cycle. Bases stay
+ * in a warm neighbourhood with an occasional cold one, and the issue
+ * rate stays under the L1 port rate, so most reads hit as in a frame
+ * while some spill into the shared L2 and DRAM.
  */
 void
 BM_HierarchyTextureRead(benchmark::State &state)
@@ -165,11 +170,20 @@ BM_HierarchyTextureRead(benchmark::State &state)
 
     Rng rng;
     Cycle now = 0;
+    std::array<Addr, 4> lines;
     for (auto _ : state) {
         const CoreId core = static_cast<CoreId>(rng.next() % 4);
-        const Addr line = (rng.next() % 8192) * 64;
-        benchmark::DoNotOptimize(mem.textureRead(core, line, now));
-        now += 1;
+        const Addr base =
+            (rng.next() % 32 == 0 ? rng.next() % 8192 : rng.next() % 128) *
+            64;
+        for (unsigned k = 0; k < 4; ++k) {
+            const std::uint32_t n = 1 + rng.next() % 4;
+            for (std::uint32_t l = 0; l < n; ++l)
+                lines[l] = base + (rng.next() % 3) * 64;
+            benchmark::DoNotOptimize(
+                mem.textureRead(core, lines.data(), n, now + k / 2));
+        }
+        now += 4;
     }
 }
 BENCHMARK(BM_HierarchyTextureRead);
@@ -180,10 +194,11 @@ BM_CacheHit(benchmark::State &state)
 {
     GpuConfig cfg;
     MemHierarchy mem(cfg);
-    mem.textureRead(0, 0x1000, 0);
+    const Addr line = 0x1000;
+    mem.textureRead(0, &line, 1, 0);
     Cycle now = 1000;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mem.textureRead(0, 0x1000, now));
+        benchmark::DoNotOptimize(mem.textureRead(0, &line, 1, now));
         now += 2;
     }
 }
@@ -198,7 +213,7 @@ BM_CacheMissChain(benchmark::State &state)
     Addr a = 0;
     Cycle now = 0;
     for (auto _ : state) {
-        now = mem.textureRead(0, a, now);
+        now = mem.textureRead(0, &a, 1, now);
         a += 64;  // every access a cold miss
     }
 }

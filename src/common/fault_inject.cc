@@ -38,12 +38,7 @@ faultSiteFromString(const std::string &name)
         name.c_str());
 }
 
-FaultInject &
-FaultInject::global()
-{
-    static FaultInject instance;
-    return instance;
-}
+constinit FaultInject FaultInject::instance;
 
 void
 FaultInject::arm(FaultSite site, std::uint32_t count,

@@ -58,7 +58,12 @@ inline constexpr Cycle kFaultStallCycle = Cycle{1} << 62;
 class FaultInject
 {
   public:
-    static FaultInject &global();
+    /**
+     * The process-wide instance. It is constant-initialized, so this
+     * accessor is a plain address with no guard, and fire() inlines to
+     * one relaxed load when disarmed.
+     */
+    static FaultInject &global() { return instance; }
 
     /**
      * Arm @p site to fire on @p count hook evaluations after first
@@ -89,8 +94,10 @@ class FaultInject
     std::uint64_t fired(FaultSite site) const;
 
   private:
-    FaultInject() = default;
+    constexpr FaultInject() = default;
     bool fireSlow(FaultSite site);
+
+    static FaultInject instance;
 
     static constexpr std::size_t kSites =
         static_cast<std::size_t>(FaultSite::kNumSites);

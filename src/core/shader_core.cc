@@ -105,11 +105,8 @@ ShaderCore::sampleQuad(Warp &warp, Cycle cycle)
         const Cycle issue = texUnitFreeHalf / 2;
         texUnitFreeHalf += half_cost;
         const std::uint32_t n_lines = warp.fpCount[k];
-        Cycle data = issue;
-        for (std::uint32_t l = 0; l < n_lines; ++l)
-            data = std::max(data, mem.textureRead(coreId,
-                                                  warp.fpLines[k][l],
-                                                  issue));
+        const Cycle data =
+            mem.textureRead(coreId, warp.fpLines[k].data(), n_lines, issue);
         ++*hot.texSamples;
         *hot.texLineReads += n_lines;
         *hot.texDataCycles += data - issue;
@@ -120,17 +117,26 @@ ShaderCore::sampleQuad(Warp &warp, Cycle cycle)
 }
 
 Cycle
-ShaderCore::issueInstruction(Warp &warp, Cycle cycle)
+ShaderCore::issueInstruction(Warp &warp, Cycle cycle, bool &done)
 {
+    // `done` comes from the new counts in registers: re-reading the
+    // just-stored 16-bit count as part of a wider load would stall on
+    // store forwarding once per instruction.
     if (warp.aluLeft > 0) {
-        --warp.aluLeft;
+        const std::uint16_t alu_left = warp.aluLeft - 1;
+        warp.aluLeft = alu_left;
+        done = alu_left == 0 && warp.texLeft == 0;
         ++*hot.aluOps;
         return cycle + kAluLatency;
     }
     dtexl_assert(warp.texLeft > 0, "issue on a finished warp");
     const Cycle ready = sampleQuad(warp, cycle);
-    --warp.texLeft;
-    warp.aluLeft = warp.texLeft > 0 ? warp.aluPerSegment : warp.aluTail;
+    const std::uint8_t tex_left = warp.texLeft - 1;
+    const std::uint16_t alu_left =
+        tex_left > 0 ? warp.aluPerSegment : warp.aluTail;
+    warp.texLeft = tex_left;
+    warp.aluLeft = alu_left;
+    done = tex_left == 0 && alu_left == 0;
     ++*hot.texInstructions;
     return ready;
 }
@@ -158,8 +164,16 @@ struct ShaderCore::CoreRun
     std::size_t activeCount = 0;
     std::size_t nextPending = 0;
     Cycle nextIssueAt = 0;
+    /** Cycle of the last issued instruction; kCycleNever before any. */
+    Cycle lastEvent = kCycleNever;
     /** Slot issued last cycle (for the Greedy policy). */
     std::size_t lastIssued = kNoSlot;
+    /**
+     * The next instruction that waits for the cross-core merge (see
+     * advance()): its slot (kNoSlot once the batch is done) and cycle.
+     */
+    std::size_t candSlot = kNoSlot;
+    Cycle candCycle = kCycleNever;
     /** Sampling LOD per batch position; see resolveLods(). */
     std::vector<float> lods;
     BatchResult res;
@@ -204,15 +218,24 @@ struct ShaderCore::CoreRun
         const WarpSched policy = core->cfg.warpScheduler;
         if (policy == WarpSched::EarliestReady) {
             // The argmin over (readyAt, batchIndex) is ready by `cycle`.
+            // The comparison outcome is data-dependent, so the select
+            // is a mask: compilers turn a ternary here into a branch
+            // that mispredicts.
             std::size_t best = 0;
+            Cycle best_ready = slots[0].readyAt;
+            std::size_t best_batch = slots[0].batchIndex;
             for (std::size_t i = 1; i < n; ++i) {
-                if (slots[i].readyAt < slots[best].readyAt ||
-                    (slots[i].readyAt == slots[best].readyAt &&
-                     slots[i].batchIndex < slots[best].batchIndex)) {
-                    best = i;
-                }
+                const Slot &s = slots[i];
+                const std::uint64_t take =
+                    0 - static_cast<std::uint64_t>(
+                            (s.readyAt < best_ready) |
+                            ((s.readyAt == best_ready) &
+                             (s.batchIndex < best_batch)));
+                best ^= (best ^ i) & take;
+                best_ready ^= (best_ready ^ s.readyAt) & take;
+                best_batch ^= (best_batch ^ s.batchIndex) & take;
             }
-            cycle = std::max(slots[best].readyAt, nextIssueAt);
+            cycle = std::max(best_ready, nextIssueAt);
             return best;
         }
 
@@ -235,6 +258,65 @@ struct ShaderCore::CoreRun
         dtexl_assert(best != kNoSlot,
                      "no eligible warp at its own ready time");
         return best;
+    }
+
+    /** Issue @p slot's next instruction at @p cycle; retire and refill. */
+    void
+    issue(std::size_t slot, Cycle cycle)
+    {
+        Slot &sched = slots[slot];
+        Warp &warp = warps[slot];
+        nextIssueAt = cycle + 1;
+        lastEvent = cycle;
+        lastIssued = slot;
+        ++res.issues;
+        bool done = false;
+        const Cycle ready = core->issueInstruction(warp, cycle, done);
+        if (done) {
+            res.completion[sched.batchIndex] = ready;
+            res.finish = std::max(res.finish, ready);
+            sched.readyAt = kCycleNever;
+            lastIssued = kNoSlot;
+            --activeCount;
+            core->admitWarps(*this);
+        } else {
+            sched.readyAt = ready;
+        }
+    }
+
+    /**
+     * Issue this core's instructions in pick() order up to the next
+     * one that needs the cross-core merge, and leave that one in
+     * candSlot/candCycle. An ALU instruction reads and writes only
+     * this core's warps, slots and counters, so it issues here. A
+     * texture instruction reaches the shared L2/DRAM and the global
+     * fault hook, so it waits. So does any instruction the watchdog
+     * cannot clear from this core alone: the core's first, and any
+     * more than @p budget cycles past the core's previous one (see
+     * checkForwardProgress()).
+     */
+    void
+    advance(Cycle budget)
+    {
+        for (;;) {
+            candSlot = pick(candCycle);
+            if (candSlot == kNoSlot || warps[candSlot].aluLeft == 0 ||
+                needsWatchdog(budget))
+                return;
+            issue(candSlot, candCycle);
+        }
+    }
+
+    /**
+     * Whether the watchdog must judge the candidate against the other
+     * cores: it is this core's first instruction, or more than
+     * @p budget cycles past this core's previous one.
+     */
+    bool
+    needsWatchdog(Cycle budget) const
+    {
+        return budget != 0 && (lastEvent == kCycleNever ||
+                               candCycle - lastEvent > budget);
     }
 };
 
@@ -319,19 +401,43 @@ ShaderCore::dumpRuns(const std::vector<CoreRun> &runs, Cycle progress)
 }
 
 /**
- * Forward-progress check for the event loops below: the event-driven
- * analog of "N wall cycles without a retirement" is the next event
- * sitting more than the budget beyond the last one. A lost memory
- * completion or leaked credit parks a warp at kFaultStallCycle (2^62),
- * which no legitimate latency chain can reach.
+ * Forward-progress check for the event loop below: the event-driven
+ * analog of "N wall cycles without a retirement" is an event sitting
+ * more than the budget beyond its predecessor in the cores' merged
+ * (cycle, core) order, or beyond the baseline for the first event. A
+ * lost memory completion or leaked credit parks a warp at
+ * kFaultStallCycle (2^62), which no legitimate latency chain can
+ * reach.
+ *
+ * The cores issue ALU instructions ahead of the merge, so the
+ * candidate of run @p next is judged against the latest of the cores'
+ * last events. The caller has already cleared a candidate within the
+ * budget of its own core's previous event (CoreRun::needsWatchdog):
+ * that event precedes it, so its predecessor is at least as late.
+ * - If the latest last event reaches the candidate cycle, another
+ *   core issued past the candidate, starting from an event within the
+ *   budget before it (advance() stops at any other): no trip, as the
+ *   check passes.
+ * - Otherwise every core has issued exactly the events that precede
+ *   the candidate, the latest last event is its predecessor, and a
+ *   trip's dump shows the state of a loop that merges every event.
  */
 void
 ShaderCore::checkForwardProgress(const std::vector<CoreRun> &runs,
-                                 Cycle budget, Cycle progress,
-                                 Cycle next_event)
+                                 std::size_t next, Cycle budget,
+                                 Cycle baseline)
 {
-    if (budget == 0 || next_event <= progress ||
-        next_event - progress <= budget)
+    const Cycle next_event = runs[next].candCycle;
+    Cycle progress = kCycleNever;
+    for (const CoreRun &run : runs) {
+        if (run.lastEvent != kCycleNever)
+            progress = progress == kCycleNever
+                           ? run.lastEvent
+                           : std::max(progress, run.lastEvent);
+    }
+    if (progress == kCycleNever)
+        progress = baseline;
+    if (next_event <= progress || next_event - progress <= budget)
         return;
     std::ostringstream msg;
     msg << "no forward progress: next shader-core event at cycle "
@@ -369,18 +475,20 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
         run.core->admitWarps(run);
     }
 
-    // Global event loop: always issue the globally-earliest ready
-    // instruction, so the cores' memory accesses interleave in time
+    // Event loop: the cores' instructions execute in global (cycle,
+    // core index) order, so their memory accesses interleave in time
     // order at the shared levels. Within a core, the configured warp
     // scheduling policy selects among ready warps.
     //
-    // Each run's pick() result is cached: pick() depends only on
-    // run-local state (its slots' ready cycles, nextIssueAt — never on
-    // memory-model state), so a cached candidate stays valid until its
-    // own run issues, and runs stalled on texture data are not
-    // rescanned every event — the event-driven analog of skipping idle
-    // cycles. The earliest cycle wins, the lowest run index breaking
-    // ties.
+    // Only texture instructions reach shared state, so each core
+    // issues its ALU instructions on its own (CoreRun::advance) and
+    // only the texture instructions between them are merged here,
+    // earliest cycle first, the lowest core index breaking ties. That
+    // is the order in which a loop merging every instruction meets
+    // them, so the shared levels see the same call sequence. pick()
+    // depends only on core-local state, so a core's candidate stays
+    // valid until that core issues, and cores stalled on texture data
+    // are not rescanned every event.
     //
     // Forward-progress watchdog baseline: the latest cycle at which
     // work legitimately becomes available (gates and EZ arrivals). Any
@@ -388,56 +496,31 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
     // is parked on a completion that will never come.
     const Cycle watchdog_budget =
         cores.empty() ? 0 : cores.front()->cfg.watchdogCycles;
-    Cycle progress = 0;
+    Cycle baseline = 0;
     for (const CoreRun &run : runs) {
-        progress = std::max(progress, run.gate);
+        baseline = std::max(baseline, run.gate);
         if (!run.arrivals->empty())
-            progress = std::max(progress, run.arrivals->back());
+            baseline = std::max(baseline, run.arrivals->back());
     }
 
-    struct Cand
-    {
-        std::size_t slot = CoreRun::kNoSlot;
-        Cycle cycle = kCycleNever;
-    };
-    std::vector<Cand> cands(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        cands[i].slot = runs[i].pick(cands[i].cycle);
+    for (CoreRun &run : runs)
+        run.advance(watchdog_budget);
     for (;;) {
         std::size_t best = runs.size();
         Cycle best_cycle = kCycleNever;
         for (std::size_t i = 0; i < runs.size(); ++i) {
-            if (cands[i].cycle < best_cycle) {
-                best_cycle = cands[i].cycle;
+            if (runs[i].candCycle < best_cycle) {
+                best_cycle = runs[i].candCycle;
                 best = i;
             }
         }
         if (best == runs.size())
             break;
-        checkForwardProgress(runs, watchdog_budget, progress,
-                             best_cycle);
-        progress = best_cycle;
-
         CoreRun &run = runs[best];
-        const std::size_t slot = cands[best].slot;
-        CoreRun::Slot &sched = run.slots[slot];
-        Warp &warp = run.warps[slot];
-        run.nextIssueAt = best_cycle + 1;
-        run.lastIssued = slot;
-        ++run.res.issues;
-        const Cycle ready = run.core->issueInstruction(warp, best_cycle);
-        if (warp.aluLeft == 0 && warp.texLeft == 0) {
-            run.res.completion[sched.batchIndex] = ready;
-            run.res.finish = std::max(run.res.finish, ready);
-            sched.readyAt = kCycleNever;
-            run.lastIssued = CoreRun::kNoSlot;
-            --run.activeCount;
-            run.core->admitWarps(run);
-        } else {
-            sched.readyAt = ready;
-        }
-        // Only this run's state changed; refresh its candidate.
-        cands[best].slot = run.pick(cands[best].cycle);
+        if (run.needsWatchdog(watchdog_budget))
+            checkForwardProgress(runs, best, watchdog_budget, baseline);
+        run.issue(run.candSlot, best_cycle);
+        run.advance(watchdog_budget);
     }
 
     std::vector<BatchResult> out;

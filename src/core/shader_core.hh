@@ -146,16 +146,21 @@ class ShaderCore
     static std::string dumpRuns(const std::vector<CoreRun> &runs,
                                 Cycle progress);
     /**
-     * Watchdog: throw SimError{Watchdog} with a dump when the next
-     * event sits more than @p budget cycles past the last one
-     * (budget 0 = disabled).
+     * Watchdog: throw SimError{Watchdog} with a dump when the
+     * candidate of run @p next sits more than @p budget cycles past
+     * its predecessor in merged event order, or past @p baseline if
+     * it is the first event. Only for candidates that
+     * CoreRun::needsWatchdog(@p budget).
      */
     static void checkForwardProgress(const std::vector<CoreRun> &runs,
-                                     Cycle budget, Cycle progress,
-                                     Cycle next_event);
+                                     std::size_t next, Cycle budget,
+                                     Cycle baseline);
 
-    /** Issue the warp's next instruction; returns its next ready cycle. */
-    Cycle issueInstruction(Warp &warp, Cycle cycle);
+    /**
+     * Issue the warp's next instruction; returns its next ready cycle
+     * and sets @p done when that was the warp's last instruction.
+     */
+    Cycle issueInstruction(Warp &warp, Cycle cycle, bool &done);
     /** Execute a texture instruction; returns data-ready cycle. */
     Cycle sampleQuad(Warp &warp, Cycle cycle);
     /** Admit pending quads into free warp slots. */

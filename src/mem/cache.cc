@@ -1,8 +1,10 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
+#include "common/fault_inject.hh"
 #include "common/log.hh"
 #include "common/serial.hh"
 #include "common/sim_error.hh"
@@ -17,9 +19,13 @@ Cache::Cache(std::string name, const CacheConfig &cfg,
       stats_(this->name)
 {
     dtexl_assert(portsPerCycle > 0);
-    dtexl_assert(cfg.numSets() > 0 && (cfg.numSets() &
-                 (cfg.numSets() - 1)) == 0,
+    dtexl_assert(std::has_single_bit(cfg.lineBytes),
+                 "line size must be a power of two");
+    dtexl_assert(std::has_single_bit(cfg.numSets()),
                  "set count must be a power of two");
+    lineShift = static_cast<std::uint32_t>(std::countr_zero(cfg.lineBytes));
+    setMask = cfg.numSets() - 1;
+    clearHitFilter();
     hot.read = &stats_.handle("read");
     hot.write = &stats_.handle("write");
     hot.readHit = &stats_.handle("read_hit");
@@ -34,10 +40,22 @@ Cache::Cache(std::string name, const CacheConfig &cfg,
     hot.prefetchIssued = &stats_.handle("prefetch_issued");
 }
 
-std::size_t
-Cache::setIndex(Addr line_addr) const
+void
+Cache::clearHitFilter()
 {
-    return (line_addr / cfg.lineBytes) & (cfg.numSets() - 1);
+    hitFilter.fill(&lines.front());
+}
+
+void
+Cache::install(Line &victim, Addr line_addr, bool dirty,
+               Cycle pending_fill)
+{
+    victim.valid = true;
+    victim.tag = line_addr;
+    victim.dirty = dirty;
+    victim.lruStamp = ++lruCounter;
+    victim.pendingFill = pending_fill;
+    hitFilter[filterSlot(line_addr)] = &victim;
 }
 
 Cache::Line &
@@ -141,7 +159,7 @@ Cache::acquireMshr(Cycle ready)
     return start;
 }
 
-Cycle
+inline Cycle
 Cache::arbitratePort(Cycle now)
 {
     bool stalled = false;
@@ -156,36 +174,35 @@ Cache::arbitratePort(Cycle now)
     return start;
 }
 
-Cache::Line *
+inline Cache::Line *
 Cache::lookup(Addr line_addr, AccessType type)
 {
-    // One-entry last-hit filter: a line address lives in exactly one
-    // way of exactly one set, so a tag match here returns precisely
-    // the line the way loop below would find.
-    if (lastHit && lastHit->valid && lastHit->tag == line_addr) {
-        lastHit->lruStamp = ++lruCounter;
-        if (type == AccessType::Write)
-            lastHit->dirty = true;
-        return lastHit;
-    }
-    const std::size_t set = setIndex(line_addr);
-    for (std::uint32_t w = 0; w < cfg.ways; ++w) {
-        Line &l = lines[set * cfg.ways + w];
-        if (l.valid && l.tag == line_addr) {
-            l.lruStamp = ++lruCounter;
-            if (type == AccessType::Write)
-                l.dirty = true;
-            lastHit = &l;
-            return &l;
+    // Hit filter first: a valid tag match is the line the way loop
+    // below would find (see hitFilter).
+    Line *&entry = hitFilter[filterSlot(line_addr)];
+    Line *line = entry;
+    if (!line->valid || line->tag != line_addr) {
+        line = nullptr;
+        Line *set = &lines[setIndex(line_addr) * cfg.ways];
+        for (std::uint32_t w = 0; w < cfg.ways; ++w) {
+            if (set[w].valid && set[w].tag == line_addr) {
+                line = &set[w];
+                break;
+            }
         }
+        if (!line)
+            return nullptr;
+        entry = line;
     }
-    return nullptr;
+    line->lruStamp = ++lruCounter;
+    if (type == AccessType::Write)
+        line->dirty = true;
+    return line;
 }
 
-Cycle
-Cache::access(Addr addr, AccessType type, Cycle now)
+inline Cycle
+Cache::accessLine(Addr la, AccessType type, Cycle now)
 {
-    const Addr la = lineAddr(addr);
     ++*(type == AccessType::Read ? hot.read : hot.write);
 
     const Cycle start = arbitratePort(now);
@@ -204,8 +221,37 @@ Cache::access(Addr addr, AccessType type, Cycle now)
         }
         return done;
     }
+    return miss(la, type, start);
+}
 
-    // Miss: allocate an MSHR and fetch the line from below.
+Cycle
+Cache::access(Addr addr, AccessType type, Cycle now)
+{
+    return accessLine(lineAddr(addr), type, now);
+}
+
+Cycle
+Cache::readLines(const Addr *line_addrs, std::uint32_t n, Cycle now)
+{
+    Cycle data = now;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        // Fault harness: a dropped completion parks the requester on a
+        // fill that never arrives; the forward-progress watchdog must
+        // catch it (disarmed cost: one relaxed load).
+        const Cycle done =
+            FaultInject::global().fire(FaultSite::DropMemCompletion)
+                ? kFaultStallCycle
+                : accessLine(lineAddr(line_addrs[i]), AccessType::Read,
+                             now);
+        data = std::max(data, done);
+    }
+    return data;
+}
+
+Cycle
+Cache::miss(Addr la, AccessType type, Cycle start)
+{
+    // Allocate an MSHR and fetch the line from below.
     ++*(type == AccessType::Read ? hot.readMiss : hot.writeMiss);
     Cycle issue = acquireMshr(start) + cfg.hitLatency;
 
@@ -216,13 +262,8 @@ Cache::access(Addr addr, AccessType type, Cycle now)
         nextLevel.access(victim.tag, AccessType::Write, issue);
     }
 
-    Cycle fill = nextLevel.access(la, AccessType::Read, issue);
-    victim.valid = true;
-    victim.tag = la;
-    victim.dirty = (type == AccessType::Write);
-    victim.lruStamp = ++lruCounter;
-    victim.pendingFill = fill;
-    lastHit = &victim;
+    const Cycle fill = nextLevel.access(la, AccessType::Read, issue);
+    install(victim, la, type == AccessType::Write, fill);
     mshrIntervals.push_back({issue, fill});
 
     // Optional next-line prefetch: ride the demand miss with a fetch
@@ -241,11 +282,7 @@ Cache::access(Addr addr, AccessType type, Cycle now)
             }
             const Cycle pf_fill =
                 nextLevel.access(nla, AccessType::Read, pf_issue);
-            pf_victim.valid = true;
-            pf_victim.tag = nla;
-            pf_victim.dirty = false;
-            pf_victim.lruStamp = ++lruCounter;
-            pf_victim.pendingFill = pf_fill;
+            install(pf_victim, nla, false, pf_fill);
             mshrIntervals.push_back({pf_issue, pf_fill});
         }
     }
@@ -274,12 +311,7 @@ Cache::writeLine(Addr addr, Cycle now)
         nextLevel.access(victim.tag, AccessType::Write,
                          start + cfg.hitLatency);
     }
-    victim.valid = true;
-    victim.tag = la;
-    victim.dirty = true;
-    victim.lruStamp = ++lruCounter;
-    victim.pendingFill = 0;
-    lastHit = &victim;
+    install(victim, la, true, 0);
     return start + cfg.hitLatency;
 }
 
@@ -303,8 +335,8 @@ Cache::resetTiming()
         l.pendingFill = 0;
     mshrIntervals.clear();
     port.clear();
-    // lastHit stays warm like the tags: it only short-circuits the
-    // way loop, never changes its result.
+    // The hit filter stays warm like the tags: it only short-circuits
+    // the way loop, never changes its result.
 }
 
 void
@@ -338,7 +370,7 @@ Cache::restoreWarmState(ByteReader &r)
         l.lruStamp = r.u64();
     }
     lruCounter = r.u64();
-    lastHit = nullptr;
+    clearHitFilter();
     resetTiming();
 }
 
@@ -348,7 +380,7 @@ Cache::flushAll()
     for (Line &l : lines)
         l = Line{};
     mshrIntervals.clear();
-    lastHit = nullptr;
+    clearHitFilter();
     lruCounter = 0;
     port.clear();
 }

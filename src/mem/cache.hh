@@ -8,6 +8,7 @@
 #ifndef DTEXL_MEM_CACHE_HH
 #define DTEXL_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,8 +41,25 @@ class Cache : public MemLevel
      */
     Cache(std::string name, const CacheConfig &cfg,
           std::uint32_t accesses_per_cycle, MemLevel &next);
+    /** Not copyable: the hit filter points into this cache's lines. */
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     Cycle access(Addr addr, AccessType type, Cycle now) override;
+
+    /**
+     * Texture read of one fragment sample: the @p n lines of its
+     * footprint, all issued at @p now. Exactly n access(Read) calls in
+     * order, each preceded by the dropped-completion fault hook (a
+     * fired hook parks that line at kFaultStallCycle and skips its
+     * access), in one call with the per-line body inlined.
+     *
+     * @return The latest of @p now and the lines' completion cycles.
+     */
+    Cycle readLines(const Addr *line_addrs, std::uint32_t n, Cycle now);
+
+    /** Entries of the direct-mapped hit filter (see hitFilter). */
+    static constexpr std::size_t kHitFilterSlots = 32;
 
     /**
      * Full-line streaming store (write-validate): allocates the line
@@ -139,8 +157,27 @@ class Cache : public MemLevel
     };
 
     Addr lineAddr(Addr a) const { return a & ~Addr{cfg.lineBytes - 1}; }
-    std::size_t setIndex(Addr line_addr) const;
+    std::size_t
+    setIndex(Addr line_addr) const
+    {
+        return (line_addr >> lineShift) & setMask;
+    }
+    std::size_t
+    filterSlot(Addr line_addr) const
+    {
+        return (line_addr >> lineShift) & (kHitFilterSlots - 1);
+    }
     Line &findVictim(std::size_t set);
+    /** Fill @p victim with @p line_addr and point the hit filter at it. */
+    void install(Line &victim, Addr line_addr, bool dirty,
+                 Cycle pending_fill);
+    /** Point every hit-filter entry at line 0 (a cold filter). */
+    void clearHitFilter();
+
+    /** The per-line body of access() and readLines(). */
+    Cycle accessLine(Addr line_addr, AccessType type, Cycle now);
+    /** Miss path of accessLine(): MSHR, victim, fill and prefetch. */
+    Cycle miss(Addr line_addr, AccessType type, Cycle start);
 
     /** Reserve an MSHR; returns the cycle the access may start. */
     Cycle acquireMshr(Cycle ready);
@@ -156,16 +193,22 @@ class Cache : public MemLevel
     std::uint32_t portsPerCycle;
     MemLevel &nextLevel;
 
+    /** log2(lineBytes) and numSets - 1, so indexing never divides. */
+    std::uint32_t lineShift = 0;
+    Addr setMask = 0;
+
     std::vector<Line> lines;      ///< numSets * ways, set-major
     std::uint64_t lruCounter = 0;
 
     /**
-     * One-entry most-recently-hit filter checked in front of the way
-     * loop. A line address lives in exactly one way of exactly one
-     * set, so a tag match here returns precisely the line the way
-     * loop would find — bit-exact by construction.
+     * Direct-mapped most-recently-used filter checked in front of the
+     * way loop, indexed by the low line-number bits. Every entry
+     * points at some line of this cache, and a line address lives in
+     * exactly one way of exactly one set, so a valid tag match returns
+     * precisely the line the way loop would find — bit-exact by
+     * construction, however stale the entry.
      */
-    Line *lastHit = nullptr;
+    std::array<Line *, kHitFilterSlots> hitFilter{};
 
     /**
      * In-flight miss intervals [start, fill). MSHR capacity is

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/fault_inject.hh"
 #include "common/serial.hh"
 #include "common/sim_error.hh"
 #include "mem/cache.hh"
@@ -30,16 +29,17 @@ class MemHierarchy
   public:
     explicit MemHierarchy(const GpuConfig &cfg);
 
-    /** Texture read by shader core @p core. */
+    /**
+     * Texture read by shader core @p core: the @p n lines of one
+     * fragment sample's footprint, all issued at @p now (see
+     * Cache::readLines). Returns the latest of @p now and the lines'
+     * completion cycles.
+     */
     Cycle
-    textureRead(CoreId core, Addr addr, Cycle now)
+    textureRead(CoreId core, const Addr *lines, std::uint32_t n,
+                Cycle now)
     {
-        // Fault harness: a dropped completion parks the requester on a
-        // fill that never arrives; the forward-progress watchdog must
-        // catch it (disarmed cost: one relaxed load).
-        if (FaultInject::global().fire(FaultSite::DropMemCompletion))
-            return kFaultStallCycle;
-        return texL1s[core]->access(addr, AccessType::Read, now);
+        return texL1s[core]->readLines(lines, n, now);
     }
 
     /** Vertex attribute fetch by the Geometry Pipeline. */

@@ -15,6 +15,7 @@
 
 #include "common/config.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "mem/cache.hh"
 
 namespace dtexl {
@@ -565,6 +566,87 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, CacheModelTest,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
                        ::testing::Bool()));
+
+/**
+ * One random footprint stream through readLines() and through n
+ * access(Read) calls on a twin; see ReadLinesMatchesSequentialAccesses.
+ */
+void
+expectReadLinesMatchSequential(std::uint64_t seed, bool prefetch)
+{
+    CacheConfig cfg = smallCache();
+    cfg.numMshrs = 2;
+    cfg.prefetchNextLine = prefetch;
+    FakeMem mem_batch(170), mem_seq(170);
+    Cache batch("t", cfg, 2, mem_batch);
+    Cache seq("t", cfg, 2, mem_seq);
+
+    // Lines kHitFilterSlots apart share one hit-filter entry and (4
+    // sets) one set, so their evictions overwrite lines the filter
+    // still points at.
+    const Addr alias_stride = Cache::kHitFilterSlots * cfg.lineBytes;
+    Rng rng(seed);
+    Cycle now = 0;
+    std::array<Addr, 16> lines;
+    for (int call = 0; call < 3000; ++call) {
+        // Nondecreasing issue cycles; most calls share a cycle with
+        // the previous one, so bursts exceed the port rate.
+        if (rng.nextBounded(4) == 0)
+            now += rng.nextBounded(60);
+        const std::uint32_t n = 1 + rng.nextBounded(16);
+        for (std::uint32_t l = 0; l < n; ++l) {
+            const std::uint32_t kind = rng.nextBounded(4);
+            if (kind == 0 && l > 0)
+                lines[l] = lines[rng.nextBounded(l)];  // within the call
+            else if (kind == 1)
+                lines[l] = rng.nextBounded(4) * alias_stride +
+                           rng.nextBounded(4) * cfg.lineBytes;
+            else
+                lines[l] = rng.nextBounded(40) * cfg.lineBytes +
+                           rng.nextBounded(cfg.lineBytes);
+        }
+        Cycle expect = now;
+        for (std::uint32_t l = 0; l < n; ++l)
+            expect = std::max(expect,
+                              seq.access(lines[l], AccessType::Read, now));
+        ASSERT_EQ(batch.readLines(lines.data(), n, now), expect)
+            << "call " << call << " at " << now;
+        // Occasional stores dirty lines, so victims write back.
+        if (rng.nextBounded(8) == 0) {
+            const Addr w = rng.nextBounded(40) * cfg.lineBytes;
+            ASSERT_EQ(batch.access(w, AccessType::Write, now),
+                      seq.access(w, AccessType::Write, now));
+        }
+    }
+    EXPECT_EQ(batch.stats().counters(), seq.stats().counters());
+    EXPECT_EQ(mem_batch.count, mem_seq.count);
+    EXPECT_EQ(mem_batch.writes, mem_seq.writes);
+    ByteWriter wb, ws;
+    batch.saveWarmState(wb);
+    seq.saveWarmState(ws);
+    EXPECT_EQ(wb.data(), ws.data());
+    // The streams must exercise what they claim to check.
+    EXPECT_GT(seq.stats().get("mshr_stall"), 0u);
+    EXPECT_GT(seq.stats().get("port_stall"), 0u);
+    EXPECT_GT(seq.stats().get("hit_under_fill"), 0u);
+    EXPECT_GT(seq.stats().get("writeback"), 0u);
+    EXPECT_EQ(seq.stats().get("prefetch_issued") > 0, cfg.prefetchNextLine);
+}
+
+TEST(Cache, ReadLinesMatchesSequentialAccesses)
+{
+    // readLines() over a footprint must be exactly n access(Read)
+    // calls at the same cycle: same result, same stats, same tags and
+    // LRU state. Two MSHRs, a 2-wide port and optional prefetch keep
+    // the miss path under pressure.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const bool prefetch : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " prefetch " << prefetch);
+            expectReadLinesMatchSequential(seed, prefetch);
+        }
+    }
+}
 
 /** Associativity sweep: with W ways, W conflicting lines fit. */
 class CacheWaysTest : public ::testing::TestWithParam<std::uint32_t>
