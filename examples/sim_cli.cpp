@@ -21,7 +21,7 @@
  *           assignment=flp2 decoupled=1 width=980 height=384
  *
  * Telemetry (see EXPERIMENTS.md "Observability"): telemetry=1 records
- * per-unit stall attribution, telemetry=2 adds counter timelines;
+ * per-unit stall attribution, telemetry=2 adds one counter row per tile;
  * e.g.  sim_cli --bench=GTr telemetry=2 --trace=t.json \
  *               --stats-json=s.json --timeline-csv=tl.csv
  */

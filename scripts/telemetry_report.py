@@ -14,7 +14,9 @@ straight off the attribution counters.
   * the stats JSON parses, carries the expected schema marker, and
     every ".telemetry." node satisfies busy + stalls + idle == total;
   * an optional --timeline-csv file has the canonical header and
-    well-formed rows with per-(label, frame, source) monotonic cycles;
+    well-formed rows with per-(label, frame, source) monotonic cycles,
+    and every source of a (label, frame) has the same row count (one
+    row per tile);
   * an optional --trace file parses as Chrome trace JSON and contains
     counter ("ph":"C") events with numeric args.value.
 
@@ -159,6 +161,7 @@ def check_timeline(path):
     if len(rows) == 1:
         fail(f"{path}: no timeline rows (needs a telemetry=2 run)")
     last_cycle = {}
+    counts = {}
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
             fail(f"{path}:{i}: {len(row)} columns, want 5")
@@ -173,6 +176,12 @@ def check_timeline(path):
         if key in last_cycle and cycle < last_cycle[key]:
             fail(f"{path}:{i}: cycle went backwards for {key}")
         last_cycle[key] = cycle
+        per_frame = counts.setdefault((label, frame), {})
+        per_frame[source] = per_frame.get(source, 0) + 1
+    for (label, frame), per_source in sorted(counts.items()):
+        if len(set(per_source.values())) > 1:
+            fail(f"{path}: {label} frame {frame}: sources have unequal "
+                 f"row counts {per_source}")
 
 
 def check_trace(path):

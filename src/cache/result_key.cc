@@ -65,7 +65,7 @@ hashConfig(const GpuConfig &cfg)
     h.u32(16); h.u32(cfg.transactionElimination ? 1 : 0);
     // --- Observability (shapes the stats-JSON artifact) ---
     h.u32(17); h.u32(cfg.telemetryLevel);
-    h.u32(18); h.u32(cfg.telemetrySamplePeriod);
+    h.u32(18); h.u32(8192);  // retired sample period; keeps stored keys
     // --- Memory hierarchy ---
     hashCacheConfig(h, 100, cfg.vertexCache);
     hashCacheConfig(h, 110, cfg.textureCache);

@@ -40,11 +40,13 @@ struct ResultKey
 };
 
 /**
- * Digest of every *result-affecting* GpuConfig field (47 fields: the
- * modelled machine, the scheduling policy and the observability knobs
- * that shape the stats-JSON artifact). Host-execution knobs that are
- * proven bit-identical by the test suite are deliberately EXCLUDED so
- * cache entries and checkpoints are shared across them:
+ * Digest of every *result-affecting* GpuConfig field (46 fields: the
+ * modelled machine, the scheduling policy and the telemetry level,
+ * which shapes the stats-JSON artifact; tag 18 hashes the retired
+ * sample period's last default, so stored digests stay valid).
+ * Host-execution knobs that are proven bit-identical by the test suite
+ * are deliberately EXCLUDED so cache entries and checkpoints are
+ * shared across them:
  *
  *   geomThreads, rasterThreads (inert; validate() pins both to 1),
  *   simdMode (tests/test_simd.cc),

@@ -170,8 +170,6 @@ GpuConfig::validate() const
     if (telemetryLevel > 2)
         throwConfigError(
             "telemetry level %u: must be 0, 1 or 2", telemetryLevel);
-    if (telemetryLevel >= 2 && telemetrySamplePeriod == 0)
-        throwConfigError("sample_cycles must be >= 1");
     if (geomThreads != 1)
         throwUserError("geomThreads %u: must be 1 (every simulation "
                        "runs on one host thread)", geomThreads);
@@ -371,8 +369,6 @@ applyConfigOption(GpuConfig &cfg, const std::string &key,
         cfg.l2Cache.sizeBytes = parseUint(key, value, 1024);
     } else if (key == "telemetry") {
         cfg.telemetryLevel = parseUint(key, value);
-    } else if (key == "sample_cycles") {
-        cfg.telemetrySamplePeriod = parseUint(key, value);
     } else if (key == "simd") {
         cfg.simdMode = simdModeFromString(value);
     } else if (key == "watchdog_cycles") {

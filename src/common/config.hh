@@ -102,16 +102,10 @@ struct GpuConfig
      * Telemetry knob (not modelled hardware; observation-only, results
      * are bit-identical at any level): 0 = off, 1 = per-unit stall/busy
      * cycle attribution into ".telemetry." registry nodes, 2 = level 1
-     * plus the time-series sampler (counter tracks in the Chrome trace,
-     * --timeline-csv rows). Set with the `telemetry` key.
+     * plus one row of counters per tile (counter tracks in the Chrome
+     * trace, --timeline-csv rows). Set with the `telemetry` key.
      */
     std::uint32_t telemetryLevel = 0;
-    /**
-     * Sampler period in raster-phase cycles (level 2 only; the
-     * `sample_cycles` key). Samples are taken at tile boundaries, so
-     * spacing is quantized up to tile granularity.
-     */
-    std::uint32_t telemetrySamplePeriod = 8192;
     /**
      * Inert: every simulation runs on one host thread. Both members
      * exist only because perfbench/driver/main.cc still assigns them;
@@ -192,10 +186,10 @@ GpuConfig makeUpperBoundConfig();
  * Apply a textual "key=value" option to a configuration (the CLI
  * driver's interface). Supported keys: grouping, order, assignment,
  * decoupled, hiz, prefetch, te, warp_sched, warps, fifo, width,
- * height, tile, l1tex_kib, l2_kib, telemetry, sample_cycles, simd,
- * watchdog_cycles. Numeric values must be non-negative decimals that
- * fit 32 bits (64 for watchdog_cycles; *_kib also in bytes). Throws
- * SimError{UserInput} naming the key on unknown keys or bad values.
+ * height, tile, l1tex_kib, l2_kib, telemetry, simd, watchdog_cycles.
+ * Numeric values must be non-negative decimals that fit 32 bits (64
+ * for watchdog_cycles; *_kib also in bytes). Throws SimError{UserInput}
+ * naming the key on unknown keys or bad values.
  */
 void applyConfigOption(GpuConfig &cfg, const std::string &key,
                        const std::string &value);

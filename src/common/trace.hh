@@ -3,8 +3,8 @@
  * Chrome-trace-event export (chrome://tracing, Perfetto): a process
  * global, thread-safe collector of complete ("ph":"X") span events and
  * counter ("ph":"C") samples. The batch driver and the phase-structured
- * engine record job and phase spans; the telemetry sampler records
- * counter tracks; `--trace=FILE` on the experiment binaries enables
+ * engine record job and phase spans; level-2 telemetry records
+ * per-tile counter tracks; `--trace=FILE` on the experiment binaries enables
  * collection and writes the JSON on exit.
  *
  * Timestamps are microseconds of std::chrono::steady_clock since the

@@ -1,6 +1,7 @@
 #include "core/gpu.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -25,6 +26,25 @@ wallMicrosSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
+/**
+ * Level-2 row sources in emission order: busy and stall of each SC,
+ * then the shared memory levels. tileSourceValues() lists a row's
+ * values in the same order.
+ */
+constexpr std::size_t kNumTileSources = 2 * Telemetry::TileRow::kMaxScs + 2;
+constexpr std::array<const char *, kNumTileSources> kTileSourceNames = {
+    "sc0.busy", "sc0.stall", "sc1.busy", "sc1.stall", "sc2.busy",
+    "sc2.stall", "sc3.busy", "sc3.stall", "l2.accesses",
+    "dram.accesses"};
+
+std::array<std::uint64_t, kNumTileSources>
+tileSourceValues(const Telemetry::TileRow &r)
+{
+    return {r.scBusy[0], r.scStall[0], r.scBusy[1], r.scStall[1],
+            r.scBusy[2], r.scStall[2], r.scBusy[3], r.scStall[3],
+            r.l2Accesses, r.dramAccesses};
+}
+
 } // namespace
 
 GpuSimulator::GpuSimulator(const GpuConfig &cfg_in, const Scene &scene_in)
@@ -45,28 +65,6 @@ GpuSimulator::GpuSimulator(const GpuConfig &cfg_in, const Scene &scene_in)
     tel = std::make_unique<Telemetry>(cfg);
     if (tel->counters())
         pipeline->setTelemetry(tel.get());
-    if (tel->sampling()) {
-        // Sampler sources: per-SC occupancy plus the shared memory
-        // levels. Closures capture raw pointers into members that the
-        // simulator owns for its whole lifetime.
-        Telemetry *t = tel.get();
-        MemHierarchy *m = mem.get();
-        for (std::uint32_t p = 0; p < cfg.numPipelines; ++p) {
-            t->addSource("sc" + std::to_string(p) + ".busy",
-                         [t, p] {
-                             return t->track(scUnit(p)).liveBusyCycles();
-                         });
-            t->addSource("sc" + std::to_string(p) + ".stall",
-                         [t, p] {
-                             return t->track(scUnit(p))
-                                 .liveStallCycles();
-                         });
-        }
-        t->addSource("l2.accesses",
-                     [m] { return m->l2().accesses(); });
-        t->addSource("dram.accesses",
-                     [m] { return m->dram().accesses(); });
-    }
 }
 
 void
@@ -187,12 +185,15 @@ GpuSimulator::renderFrame()
     // the cycle count at zero, so its traffic must not be attributed
     // against raster-phase epochs.
     const bool monitored = tel->counters();
+    Telemetry::TileRow row_base;  // level 2: counters before tile 0
     if (monitored) {
         tel->beginEpoch();
+        row_base = tel->liveRow(0, mem->l2().accesses(),
+                                mem->dram().accesses());
         mem->attachTelemetry(tel.get());
     }
     // Explicit span (not TraceScope): the start timestamp doubles as
-    // the origin for mapping sampler cycles onto the trace time axis.
+    // the origin for mapping tile-row cycles onto the trace time axis.
     const std::uint64_t raster_ts0 = TraceWriter::nowMicros();
     fs.rasterCycles = pipeline->run(*pb, fs);
     const std::uint64_t raster_ts1 = TraceWriter::nowMicros();
@@ -257,13 +258,19 @@ GpuSimulator::renderFrame()
             tel->publish(*registry, statPrefix);
     }
 
-    // ---- Level 2: emit the epoch's counter timelines ----
+    // ---- Level 2: emit the epoch's per-tile counter rows ----
     if (tel->sampling()) {
-        const auto &rows = tel->samples();
+        const std::vector<Telemetry::TileRow> &rows = tel->tileRows();
+        const std::uint32_t frame = tel->frames() - 1;
+        if (tel->epochTiles() > rows.size()) {
+            warn("telemetry: frame %u has %zu tiles; its per-tile rows "
+                 "keep the first %zu",
+                 frame, tel->epochTiles(), rows.size());
+        }
         const bool trace_on = TraceWriter::global().enabled();
         const bool csv_on =
             TelemetryExport::global().timelineEnabled();
-        if ((trace_on || csv_on) && !rows.empty()) {
+        if (trace_on || csv_on) {
             // Map raster-phase sim cycles onto the span's wall window
             // so counter tracks line up under the "raster" span.
             const double us_per_cycle =
@@ -271,35 +278,37 @@ GpuSimulator::renderFrame()
                     ? static_cast<double>(raster_ts1 - raster_ts0) /
                           static_cast<double>(fs.rasterCycles)
                     : 0.0;
-            const std::uint32_t frame = tel->frames() - 1;
-            std::vector<std::uint64_t> prev = tel->sampleBase();
-            for (const Telemetry::SampleRow &row : rows) {
+            // SC sources past the configured pipes are not emitted.
+            const std::size_t n_sc_sources = 2 * cfg.numPipelines;
+            auto prev = tileSourceValues(row_base);
+            for (const Telemetry::TileRow &row : rows) {
                 const std::uint64_t ts =
                     raster_ts0 +
                     static_cast<std::uint64_t>(
                         static_cast<double>(row.cycle) * us_per_cycle);
-                for (std::size_t i = 0; i < tel->numSources(); ++i) {
-                    // Per-interval delta: cumulative sources turn into
+                const auto values = tileSourceValues(row);
+                for (std::size_t i = 0; i < kNumTileSources; ++i) {
+                    if (i >= n_sc_sources &&
+                        i < 2 * Telemetry::TileRow::kMaxScs)
+                        continue;
+                    // Per-tile delta: cumulative sources turn into
                     // rate tracks, which is what the viewer shows best.
                     const std::uint64_t delta =
-                        row.values[i] >= prev[i]
-                            ? row.values[i] - prev[i]
-                            : 0;
+                        values[i] >= prev[i] ? values[i] - prev[i] : 0;
                     if (trace_on) {
                         TraceWriter::global().counter(
-                            statPrefix + "." + tel->sourceName(i), ts,
+                            statPrefix + "." + kTileSourceNames[i], ts,
                             delta);
                     }
                     if (csv_on) {
                         TelemetryExport::global().appendTimelineRow(
                             statPrefix, frame, row.cycle,
-                            tel->sourceName(i), delta);
+                            kTileSourceNames[i], delta);
                     }
                 }
-                prev = row.values;
+                prev = values;
             }
         }
-        tel->clearSamples();
     }
     return fs;
 }

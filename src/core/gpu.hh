@@ -104,7 +104,7 @@ class GpuSimulator
     std::unique_ptr<RasterPipeline> pipeline;
     /** Cross-frame flush CRCs for transaction elimination. */
     FlushSignatures flushSignatures;
-    /** Stall attribution + sampler (inert object when level is 0). */
+    /** Stall attribution + tile rows (inert object when level is 0). */
     std::unique_ptr<Telemetry> tel;
 
     StatRegistry *registry = nullptr;

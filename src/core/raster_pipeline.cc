@@ -1,8 +1,6 @@
 #include "core/raster_pipeline.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/fault_inject.hh"
@@ -313,11 +311,6 @@ RasterPipeline::run(const ParamBuffer &pb, FrameStats &fs)
     std::deque<Cycle> rast_start_history;  // for 2-deep tile prefetch
 
     std::array<Cycle, kNumSubtiles> prev_fs_finish{};
-
-    // DTEXL_TRACE_TILES=N: print the first N tiles' timings to stderr.
-    const char *trace_env = std::getenv("DTEXL_TRACE_TILES");
-    const std::uint32_t trace_tiles =
-        trace_env ? static_cast<std::uint32_t>(std::atoi(trace_env)) : 0;
 
     while (!fetcher.done()) {
         // --- Tile Fetcher (runs up to two tiles ahead) ---
@@ -701,27 +694,10 @@ RasterPipeline::run(const ParamBuffer &pb, FrameStats &fs)
         }
         watchdog_progress = std::max(watchdog_progress, frame_end);
 
-        // Time-series sampling at tile granularity (level 2).
+        // Level 2: the tile's row of live counters.
         if (tmon && tmon->sampling())
-            tmon->maybeSample(frame_end);
-
-        if (tile.sequence < trace_tiles) {
-            std::fprintf(stderr,
-                "tile %3u prims %3zu quads %4zu | fetch %llu rastS "
-                "%llu rastE %llu | ez %llu | fs %llu,%llu,%llu,"
-                "%llu | bl %llu | fl %llu\n",
-                tile.sequence, tile.prims.size(), quads.size(),
-                (unsigned long long)tile.readyAt,
-                (unsigned long long)rast_start,
-                (unsigned long long)rast_free,
-                (unsigned long long)pipes[0].ezFinish,
-                (unsigned long long)pipes[0].fsFinish,
-                (unsigned long long)pipes[1].fsFinish,
-                (unsigned long long)pipes[2].fsFinish,
-                (unsigned long long)pipes[3].fsFinish,
-                (unsigned long long)pipes[0].blendFinish,
-                (unsigned long long)pipes[0].flushDone);
-        }
+            tmon->recordTile(frame_end, mem.l2().accesses(),
+                             mem.dram().accesses());
     }
 
     for (std::uint32_t p = 0; p < n_pipes; ++p)

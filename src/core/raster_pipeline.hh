@@ -93,8 +93,8 @@ class RasterPipeline
      * Attach (or detach, with nullptr) the telemetry sink. run() then
      * attributes every non-productive cycle of the rasterizer, Early-Z,
      * Fragment and Blend units at the points where it makes the timing
-     * decisions; with level 2 it also drives the time-series sampler at
-     * tile boundaries.
+     * decisions; with level 2 it also records one row of live counters
+     * per tile as the tile completes.
      */
     void setTelemetry(Telemetry *t) { tel = t; }
 

@@ -1,6 +1,7 @@
 #include "core/shader_core.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -403,40 +404,50 @@ ShaderCore::dumpRuns(const std::vector<CoreRun> &runs, Cycle progress)
 /**
  * Forward-progress check for the event loop below: the event-driven
  * analog of "N wall cycles without a retirement" is an event sitting
- * more than the budget beyond its predecessor in the cores' merged
- * (cycle, core) order, or beyond the baseline for the first event. A
- * lost memory completion or leaked credit parks a warp at
- * kFaultStallCycle (2^62), which no legitimate latency chain can
- * reach.
+ * more than the budget beyond its predecessor, in (cycle, core) order,
+ * among the cores' issued instructions and the cycles at which work
+ * became available to them (gates and EZ arrivals). A lost memory
+ * completion or leaked credit parks a warp at kFaultStallCycle (2^62),
+ * which no legitimate latency chain can reach. A late EZ arrival is
+ * an upstream stall, so the instruction it releases is judged against
+ * the arrival and is never charged to the shader cores.
  *
  * The cores issue ALU instructions ahead of the merge, so the
  * candidate of run @p next is judged against the latest of the cores'
- * last events. The caller has already cleared a candidate within the
- * budget of its own core's previous event (CoreRun::needsWatchdog):
- * that event precedes it, so its predecessor is at least as late.
+ * last events, gates and arrivals at or before its cycle. Gates and
+ * arrivals are inputs of the batch, known whatever the issue order,
+ * and each core's arrivals strictly increase (Early-Z consumes at most
+ * one quad per cycle per pipe), so a binary search finds the latest
+ * one. The caller has already cleared a candidate within the budget
+ * of its own core's previous event (CoreRun::needsWatchdog): that
+ * event precedes it, so its predecessor is at least as late.
  * - If the latest last event reaches the candidate cycle, another
  *   core issued past the candidate, starting from an event within the
  *   budget before it (advance() stops at any other): no trip, as the
  *   check passes.
  * - Otherwise every core has issued exactly the events that precede
- *   the candidate, the latest last event is its predecessor, and a
- *   trip's dump shows the state of a loop that merges every event.
+ *   the candidate, the latest of them and of the arrivals is its
+ *   predecessor, and a trip's dump shows the state of a loop that
+ *   merges every event.
  */
 void
 ShaderCore::checkForwardProgress(const std::vector<CoreRun> &runs,
-                                 std::size_t next, Cycle budget,
-                                 Cycle baseline)
+                                 std::size_t next, Cycle budget)
 {
     const Cycle next_event = runs[next].candCycle;
-    Cycle progress = kCycleNever;
+    // The candidate's own gate precedes it, so `progress` is a real
+    // event cycle once the loop is done.
+    Cycle progress = 0;
     for (const CoreRun &run : runs) {
         if (run.lastEvent != kCycleNever)
-            progress = progress == kCycleNever
-                           ? run.lastEvent
-                           : std::max(progress, run.lastEvent);
+            progress = std::max(progress, run.lastEvent);
+        if (run.gate <= next_event)
+            progress = std::max(progress, run.gate);
+        const auto after = std::upper_bound(
+            run.arrivals->begin(), run.arrivals->end(), next_event);
+        if (after != run.arrivals->begin())
+            progress = std::max(progress, *std::prev(after));
     }
-    if (progress == kCycleNever)
-        progress = baseline;
     if (next_event <= progress || next_event - progress <= budget)
         return;
     std::ostringstream msg;
@@ -490,18 +501,11 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
     // valid until that core issues, and cores stalled on texture data
     // are not rescanned every event.
     //
-    // Forward-progress watchdog baseline: the latest cycle at which
-    // work legitimately becomes available (gates and EZ arrivals). Any
-    // event budget cycles beyond the last productive one means a warp
-    // is parked on a completion that will never come.
+    // Forward-progress watchdog: any event budget cycles beyond the
+    // last productive one means a warp is parked on a completion that
+    // will never come (checkForwardProgress()).
     const Cycle watchdog_budget =
         cores.empty() ? 0 : cores.front()->cfg.watchdogCycles;
-    Cycle baseline = 0;
-    for (const CoreRun &run : runs) {
-        baseline = std::max(baseline, run.gate);
-        if (!run.arrivals->empty())
-            baseline = std::max(baseline, run.arrivals->back());
-    }
 
     for (CoreRun &run : runs)
         run.advance(watchdog_budget);
@@ -518,7 +522,7 @@ ShaderCore::runBatches(const std::vector<ShaderCore *> &cores,
             break;
         CoreRun &run = runs[best];
         if (run.needsWatchdog(watchdog_budget))
-            checkForwardProgress(runs, best, watchdog_budget, baseline);
+            checkForwardProgress(runs, best, watchdog_budget);
         run.issue(run.candSlot, best_cycle);
         run.advance(watchdog_budget);
     }

@@ -148,13 +148,12 @@ class ShaderCore
     /**
      * Watchdog: throw SimError{Watchdog} with a dump when the
      * candidate of run @p next sits more than @p budget cycles past
-     * its predecessor in merged event order, or past @p baseline if
-     * it is the first event. Only for candidates that
+     * its predecessor in merged event order, gates and EZ arrivals
+     * included. Only for candidates that
      * CoreRun::needsWatchdog(@p budget).
      */
     static void checkForwardProgress(const std::vector<CoreRun> &runs,
-                                     std::size_t next, Cycle budget,
-                                     Cycle baseline);
+                                     std::size_t next, Cycle budget);
 
     /**
      * Issue the warp's next instruction; returns its next ready cycle

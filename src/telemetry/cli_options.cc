@@ -239,8 +239,8 @@ CommonCliOptions::helpText()
         "(chrome://tracing)\n"
         "  --stats-json=FILE   write a flat JSON dump of all counters\n"
         "                      (schema dtexl-stats-v1)\n"
-        "  --timeline-csv=FILE write telemetry=2 counter timelines as "
-        "CSV\n"
+        "  --timeline-csv=FILE write telemetry=2 per-tile counter rows "
+        "as CSV\n"
         "  --simd=MODE         auto (default: vectorized kernels on "
         "the compiled\n"
         "                      lane backend) or scalar (original "

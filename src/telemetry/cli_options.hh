@@ -40,7 +40,7 @@ struct CommonCliOptions
     std::string tracePath;
     /** --stats-json=FILE: flat StatRegistry dump (dtexl-stats-v1). */
     std::string statsJsonPath;
-    /** --timeline-csv=FILE: level-2 sampler rows as CSV. */
+    /** --timeline-csv=FILE: level-2 per-tile rows as CSV. */
     std::string timelineCsvPath;
     /** --crash-dir=DIR: where watchdog crash reports land. */
     std::string crashDir;

@@ -3,7 +3,7 @@
  * Machine-readable telemetry exporters, process-global like
  * TraceWriter: `--stats-json=FILE` writes a flat JSON dump of an
  * attached StatRegistry (schema "dtexl-stats-v1"), `--timeline-csv=FILE`
- * writes the level-2 sampler's counter timelines as CSV rows
+ * writes the level-2 per-tile counter rows as CSV lines
  * (label,frame,cycle,source,value). Rows are buffered in memory and
  * written by flush(); enabling either path installs an atexit backstop
  * so files appear even when a binary exits through fatal().
@@ -41,7 +41,7 @@ class TelemetryExport
     bool statsJsonEnabled() const;
     bool timelineEnabled() const;
 
-    /** Buffer one timeline sample (thread-safe). */
+    /** Buffer one timeline line (thread-safe). */
     void appendTimelineRow(const std::string &label, std::uint32_t frame,
                            Cycle cycle, const std::string &source,
                            std::uint64_t value);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Per-simulator telemetry sink: one UnitTrack per per-cycle unit plus
- * an optional low-overhead time-series sampler, all behind the
+ * an optional row of live counters per tile, all behind the
  * GpuConfig::telemetryLevel knob (0 = off, 1 = stall/busy counters,
- * 2 = counters + sampling).
+ * 2 = counters + per-tile rows).
  *
  * Telemetry is scoped to the *raster phase*: geometry and raster each
  * restart the cycle count at zero (see GpuSimulator::renderFrame), so
@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,15 +82,12 @@ class Telemetry
 {
   public:
     explicit Telemetry(const GpuConfig &cfg)
-        : level_(cfg.telemetryLevel),
-          period_(cfg.telemetrySamplePeriod == 0
-                      ? 1
-                      : cfg.telemetrySamplePeriod)
+        : level_(cfg.telemetryLevel)
     {}
 
     /** Level 1+: stall/busy attribution is recorded. */
     bool counters() const { return level_ >= 1; }
-    /** Level 2: the time-series sampler is armed too. */
+    /** Level 2: one counter row per tile is recorded too. */
     bool sampling() const { return level_ >= 2; }
     std::uint32_t level() const { return level_; }
 
@@ -113,9 +109,7 @@ class Telemetry
         for (UnitTrack &t : tracks_)
             t.beginEpoch();
         rows_.clear();
-        nextSampleAt = period_;
-        for (std::size_t i = 0; i < sources_.size(); ++i)
-            base_[i] = sources_[i].read();
+        epochTiles_ = 0;
     }
 
     /** Close the epoch against the raster-phase length. */
@@ -157,73 +151,66 @@ class Telemetry
     /** Zero all cumulative state (failed-restore recovery). */
     void resetCumulative();
 
-    // ---- Time-series sampling (level 2) ----
+    // ---- Per-tile rows (level 2) ----
 
-    /** One snapshot: epoch cycle + raw source values. */
-    struct SampleRow
+    /**
+     * One tile's live counters, read when the tile completes. Values
+     * are cumulative (GpuSimulator::renderFrame emits per-tile
+     * deltas); SC entries past the configured pipe count stay zero.
+     */
+    struct TileRow
     {
-        Cycle cycle = 0;
-        std::vector<std::uint64_t> values;
+        static constexpr std::size_t kMaxScs = 4;
+
+        Cycle cycle = 0;  ///< the tile's completion cycle
+        std::array<std::uint64_t, kMaxScs> scBusy{};
+        std::array<std::uint64_t, kMaxScs> scStall{};
+        std::uint64_t l2Accesses = 0;
+        std::uint64_t dramAccesses = 0;
     };
 
-    /** Register a sampled counter source (read must stay valid). */
-    void
-    addSource(std::string name, std::function<std::uint64_t()> read)
+    /** The live counters now, with the caller's memory access counts. */
+    TileRow
+    liveRow(Cycle cycle, std::uint64_t l2, std::uint64_t dram) const
     {
-        sources_.push_back({std::move(name), std::move(read)});
-        base_.resize(sources_.size(), 0);
+        TileRow row;
+        row.cycle = cycle;
+        for (std::uint32_t p = 0; p < TileRow::kMaxScs; ++p) {
+            row.scBusy[p] = track(scUnit(p)).liveBusyCycles();
+            row.scStall[p] = track(scUnit(p)).liveStallCycles();
+        }
+        row.l2Accesses = l2;
+        row.dramAccesses = dram;
+        return row;
     }
 
     /**
-     * Take at most one snapshot per period crossing; called at tile
-     * boundaries, so sample spacing is period-quantized, not exact.
-     * The ring is bounded: past kMaxRows rows per epoch, sampling
-     * stops (the timeline reports what it kept, never blocks).
+     * Append the row of a tile completed at @p cycle. The rows are
+     * bounded: past kMaxRows per epoch a tile is only counted
+     * (epochTiles()), so a huge frame never grows them further.
      */
     void
-    maybeSample(Cycle now)
+    recordTile(Cycle cycle, std::uint64_t l2, std::uint64_t dram)
     {
-        if (now < nextSampleAt || rows_.size() >= kMaxRows)
-            return;
-        SampleRow row;
-        row.cycle = now;
-        row.values.reserve(sources_.size());
-        for (const Source &s : sources_)
-            row.values.push_back(s.read());
-        rows_.push_back(std::move(row));
-        nextSampleAt = now + period_;
+        if (epochTiles_++ < kMaxRows)
+            rows_.push_back(liveRow(cycle, l2, dram));
     }
 
-    std::size_t numSources() const { return sources_.size(); }
-    const std::string &
-    sourceName(std::size_t i) const
-    {
-        return sources_[i].name;
-    }
-    /** Source values captured when the epoch was armed. */
-    const std::vector<std::uint64_t> &sampleBase() const { return base_; }
-    const std::vector<SampleRow> &samples() const { return rows_; }
-    void clearSamples() { rows_.clear(); }
+    /** Rows of the open or last finalized epoch, in tile order. */
+    const std::vector<TileRow> &tileRows() const { return rows_; }
+    /** Tiles completed in that epoch (rows past kMaxRows dropped). */
+    std::size_t epochTiles() const { return epochTiles_; }
 
     static constexpr std::size_t kMaxRows = 4096;
 
   private:
-    struct Source
-    {
-        std::string name;
-        std::function<std::uint64_t()> read;
-    };
-
     std::uint32_t level_ = 0;
-    Cycle period_ = 1;
     std::array<UnitTrack, kNumTelemetryUnits> tracks_;
     std::array<EpochTotals, kNumTelemetryUnits> epoch_{};
     std::uint32_t frames_ = 0;
 
-    std::vector<Source> sources_;
-    std::vector<std::uint64_t> base_;
-    std::vector<SampleRow> rows_;
-    Cycle nextSampleAt = 0;
+    std::vector<TileRow> rows_;
+    std::size_t epochTiles_ = 0;
 
     /** Cached registry handles; rebound if registry/prefix change. */
     struct NodeHandles

@@ -162,7 +162,7 @@ class UnitTrack
         cum = t;
     }
 
-    /** Cumulative + current-epoch busy (live value for samplers). */
+    /** Cumulative + current-epoch busy (live value for tile rows). */
     std::uint64_t liveBusyCycles() const { return cum.busy + cur.busy; }
     /** Cumulative + current-epoch attributed stalls (live). */
     std::uint64_t

@@ -203,8 +203,6 @@ TEST(ResultKeyTest, EveryResultAffectingKnobChangesTheKey)
         c.transactionElimination = !c.transactionElimination;
     });
     add("telemetryLevel", [](GpuConfig &c) { c.telemetryLevel = 1; });
-    add("telemetrySamplePeriod",
-        [](GpuConfig &c) { c.telemetrySamplePeriod += 1; });
 
     // Each of the four cache blocks plus DRAM, one field of each.
     add("vertexCache.sizeBytes",

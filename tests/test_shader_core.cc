@@ -413,9 +413,10 @@ watchdogScenario(WarpSched policy, Cycle budget)
 TEST_P(WarpSchedTest, WatchdogVerdictsArePinned)
 {
     // Verdicts, messages and state dumps over a sweep of budgets,
-    // recorded before ALU issue left the cross-core merge. The sweep
+    // recorded once gates and EZ arrivals count as progress. The sweep
     // brackets every inter-event gap of the scenario, and the
-    // smallest budget that completes is pinned on its own.
+    // smallest budget that completes is pinned on its own: the
+    // remaining gaps are warps waiting on cold texture misses.
     const WarpSched policy = GetParam();
     Fnv1a64 h;
     std::uint64_t trips = 0;
@@ -426,17 +427,27 @@ TEST_P(WarpSchedTest, WatchdogVerdictsArePinned)
         h.str(out);
     }
     const std::size_t p = static_cast<std::size_t>(policy);
-    constexpr std::uint64_t kDigest[] = {0x24e7a33343cbdbb0ull,
-                                         0x03470b79be5d17e7ull,
-                                         0xe46b7d1f65ab102cull};
-    constexpr std::uint64_t kTrips[] = {61, 61, 61};
-    constexpr Cycle kBoundary[] = {2854, 2855, 2856};
+    constexpr std::uint64_t kDigest[] = {0xb86399e3273f00b4ull,
+                                         0x0eea8b2f3ccd9aa0ull,
+                                         0x36b14abac5c1e198ull};
+    constexpr std::uint64_t kTrips[] = {31, 30, 30};
+    constexpr Cycle kBoundary[] = {84, 79, 80};
     EXPECT_EQ(h.value(), kDigest[p]);
     EXPECT_EQ(trips, kTrips[p]);
     EXPECT_EQ(watchdogScenario(policy, kBoundary[p]).find("no forward"),
               std::string::npos);
     EXPECT_NE(watchdogScenario(policy, kBoundary[p] - 1).find("no forward"),
               std::string::npos);
+}
+
+TEST_P(WarpSchedTest, LateEzArrivalMidBatchIsNotAStall)
+{
+    // Core 3's second half arrives 6000 cycles late, mid-batch, while
+    // the other cores have long finished. That is an upstream stall:
+    // the instruction the arrival releases is judged against it, so a
+    // budget far below the gap completes.
+    const std::string out = watchdogScenario(GetParam(), 2853);
+    EXPECT_EQ(out.find("no forward"), std::string::npos) << out;
 }
 
 TEST(ShaderCore, PartialCoverageSamplesFewerFragments)

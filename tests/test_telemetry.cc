@@ -7,7 +7,8 @@
  *
  * across the three paper configurations, observation-only behaviour
  * (FrameStats bit-identical at every knob level), the decoupled-mode
- * barrier-wait signature, and the --stats-json exporter.
+ * barrier-wait signature, the level-2 per-tile rows and their bound,
+ * and the --stats-json exporter.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,10 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/config.hh"
 #include "common/json.hh"
@@ -193,7 +197,6 @@ TEST(TelemetryIntegration, InvariantHoldsAtLevelTwo)
 {
     GpuConfig cfg = makeBaselineConfig();
     cfg.telemetryLevel = 2;
-    cfg.telemetrySamplePeriod = 512;
     expectInvariant(runFrames(cfg, "GTr", 2), "level-2");
 }
 
@@ -214,10 +217,95 @@ TEST(TelemetryIntegration, ObservationOnlyAcrossKnobLevels)
 
         GpuConfig l2 = base;
         l2.telemetryLevel = 2;
-        l2.telemetrySamplePeriod = 256;
         expectSameHistory(off.frames, runFrames(l2, "GTr", 2).frames,
                           dtexl ? "dtexl-l2" : "base-l2");
     }
+}
+
+TEST(TelemetryIntegration, TileRowsSumToUnitTotals)
+{
+    // Level 2 writes one timeline row per tile and source, and a
+    // frame's per-tile SC deltas add up to its attribution totals.
+    const std::string path =
+        "test_telemetry_tiles." + std::to_string(::getpid()) + ".csv";
+    TelemetryExport::global().setTimelineCsvPath(path);
+    GpuConfig cfg = makeDTexLConfig();
+    cfg.telemetryLevel = 2;
+    cfg.screenWidth = 256;
+    cfg.screenHeight = 128;
+    const Scene scene = generateScene(benchmarkByAlias("GTr"), cfg, 0);
+    GpuSimulator gpu(cfg, scene);
+    constexpr std::uint32_t kFrames = 2;
+    std::vector<std::vector<EpochTotals>> sc(kFrames);
+    for (std::uint32_t f = 0; f < kFrames; ++f) {
+        gpu.renderFrame();
+        for (std::uint32_t p = 0; p < cfg.numPipelines; ++p)
+            sc[f].push_back(gpu.telemetry().epoch(scUnit(p)));
+    }
+    TelemetryExport::global().flush();
+    TelemetryExport::global().setTimelineCsvPath("");
+
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "label,frame,cycle,source,value");
+    // (frame, source) -> rows, summed values
+    std::map<std::pair<std::uint32_t, std::string>,
+             std::pair<std::uint64_t, std::uint64_t>>
+        sums;
+    while (std::getline(in, line)) {
+        std::vector<std::string> f;
+        std::stringstream ss(line);
+        for (std::string cell; std::getline(ss, cell, ',');)
+            f.push_back(cell);
+        ASSERT_EQ(f.size(), 5u) << line;
+        auto &[rows, sum] =
+            sums[{static_cast<std::uint32_t>(std::stoul(f[1])), f[3]}];
+        ++rows;
+        sum += std::stoull(f[4]);
+    }
+    std::remove(path.c_str());
+
+    ASSERT_EQ(sums.size(), kFrames * (2 * cfg.numPipelines + 2));
+    for (const auto &[key, v] : sums)
+        EXPECT_EQ(v.first, cfg.numTiles()) << key.first << " " << key.second;
+    for (std::uint32_t f = 0; f < kFrames; ++f) {
+        const auto sum = [&](const std::string &source) {
+            return sums[std::make_pair(f, source)].second;
+        };
+        for (std::uint32_t p = 0; p < cfg.numPipelines; ++p) {
+            const std::string name = "sc" + std::to_string(p);
+            const EpochTotals &e = sc[f][p];
+            EXPECT_GT(e.busy, 0u);
+            EXPECT_EQ(sum(name + ".busy"), e.busy)
+                << "frame " << f << " " << name;
+            EXPECT_EQ(sum(name + ".stall"), attributed(e) - e.busy)
+                << "frame " << f << " " << name;
+        }
+    }
+}
+
+TEST(TelemetryIntegration, TileRowTruncationWarns)
+{
+    // 64 x 65 tiles of 8x8 pixels (the smallest legal tile), past the
+    // per-frame row bound.
+    GpuConfig cfg = makeDTexLConfig();
+    cfg.telemetryLevel = 2;
+    cfg.tileSize = 8;
+    cfg.screenWidth = 512;
+    cfg.screenHeight = 520;
+    ASSERT_GT(cfg.numTiles(), Telemetry::kMaxRows);
+    const Scene scene = generateScene(benchmarkByAlias("GTr"), cfg, 0);
+    GpuSimulator gpu(cfg, scene);
+    ::testing::internal::CaptureStderr();
+    gpu.renderFrame();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("warn: telemetry: frame 0 has 4160 tiles; its "
+                       "per-tile rows keep the first 4096\n"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(gpu.telemetry().epochTiles(), cfg.numTiles());
+    EXPECT_EQ(gpu.telemetry().tileRows().size(), Telemetry::kMaxRows);
 }
 
 TEST(TelemetryIntegration, DecoupledModeEliminatesBarrierWait)

@@ -2,14 +2,15 @@
  * @file
  * Coverage for the --trace observability surface: the Chrome-trace
  * JSON written by TraceWriter must parse, its spans must be properly
- * nested per track, counter tracks emitted by the telemetry sampler
- * must be well-formed, and the StatRegistry tree populated alongside
- * it must satisfy the parent-totals-equal-sum-of-children invariant.
+ * nested per track, counter tracks emitted from level-2 telemetry's
+ * per-tile rows must be well-formed, and the StatRegistry tree
+ * populated alongside it must satisfy the
+ * parent-totals-equal-sum-of-children invariant.
  *
  * TraceWriter is a process global that stays enabled once switched on,
  * so everything that needs tracing runs inside this one binary. The
- * batch runs at telemetry level 2 with a short sample period so the
- * trace carries counter ("ph":"C") events alongside the spans.
+ * batch runs at telemetry level 2 so the trace carries counter
+ * ("ph":"C") events alongside the spans.
  */
 
 #include <gtest/gtest.h>
@@ -78,10 +79,8 @@ class TraceOutput : public ::testing::Test
         GpuConfig cfg;
         cfg.screenWidth = 256;
         cfg.screenHeight = 128;
-        // Level 2 so the sampler populates counter tracks; a short
-        // period so even this small screen yields several samples.
+        // Level 2 so the per-tile rows populate counter tracks.
         cfg.telemetryLevel = 2;
-        cfg.telemetrySamplePeriod = 256;
 
         static Scene swa =
             generateScene(benchmarkByAlias("SWa"), cfg, 0);
@@ -163,7 +162,7 @@ class TraceOutput : public ::testing::Test
         }
     }
 
-    /** Counter ("C") events emitted by the telemetry sampler. */
+    /** Counter ("C") events emitted from the per-tile rows. */
     static void
     counters(std::vector<Counter> &out)
     {
@@ -286,12 +285,12 @@ TEST_F(TraceOutput, CounterTracksPresentAndValid)
     std::vector<Counter> cs;
     ASSERT_NO_FATAL_FAILURE(counters(cs));
 
-    // Level 2 with a 256-cycle period over thousands of raster cycles
-    // must produce samples; each sample emits one event per source.
+    // Level 2 records one row per tile; each row emits one event per
+    // source.
     ASSERT_FALSE(cs.empty());
 
     // Counter names are "<job prefix>.<source>"; both jobs must have
-    // sampled, and the per-SC occupancy sources must be among them.
+    // rows, and the per-SC occupancy sources must be among them.
     std::map<std::string, int> by_name;
     for (const Counter &c : cs)
         ++by_name[c.name];
