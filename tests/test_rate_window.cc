@@ -233,6 +233,88 @@ TEST(RateWindow, MatchesDequeModel)
     }
 }
 
+TEST(RateWindow, MatchesDequeModelAtTheHorizon)
+{
+    // MatchesDequeModel's jitter stays within two windows of the
+    // newest reservation, so it never reaches the retained-history
+    // horizon (64 windows). Here, for the L1 port shape (32 per 8
+    // cycles) and the L2 shape (16 per 8 cycles): long in-order runs,
+    // some bursty enough to stall, then requests 63-65 windows behind
+    // the newest entry (one exactly at entry + horizon == newest) and
+    // forward jumps of 63-65 windows that leave fewer than `cap`
+    // entries inside the horizon.
+    const struct
+    {
+        std::uint32_t cap;
+        Cycle win;
+    } shapes[] = {{32, 8}, {16, 8}};
+
+    Rng rng(0x4c31);
+    for (const auto &shape : shapes) {
+        const Cycle horizon = 64 * shape.win;
+        RateWindow rw(shape.cap, shape.win);
+        RateWindowModel model(shape.cap, shape.win);
+        Cycle newest = 0;
+        std::uint64_t requests = 0;
+        auto request = [&](Cycle now) {
+            bool got_stalled = false, want_stalled = false;
+            const Cycle got = rw.reserve(now, got_stalled);
+            const Cycle want = model.reserve(now, want_stalled);
+            ++requests;
+            EXPECT_EQ(got, want) << "cap=" << shape.cap << " request "
+                                 << requests << " at " << now;
+            EXPECT_EQ(got_stalled, want_stalled)
+                << "cap=" << shape.cap << " request " << requests;
+            newest = std::max(newest, want);
+            return want;
+        };
+        Cycle t = 0;
+        for (int round = 0; round < 40; ++round) {
+            // In-order run: a steady stream with occasional bursts of
+            // up to 2 * cap requests on one cycle.
+            const std::uint64_t run = 500 + rng.nextBounded(3000);
+            for (std::uint64_t i = 0; i < run; ++i) {
+                t = std::max(t, newest) + rng.nextBounded(3);
+                const std::uint64_t burst =
+                    rng.nextBounded(64) == 0
+                        ? 1 + rng.nextBounded(2 * shape.cap)
+                        : 1;
+                for (std::uint64_t b = 0; b < burst; ++b)
+                    request(t);
+            }
+            // Requests 63-65 windows behind the newest entry.
+            for (Cycle d = 63; d <= 65; ++d) {
+                for (Cycle off : {Cycle{0}, Cycle{1}, shape.win - 1}) {
+                    const Cycle back = d * shape.win + off;
+                    if (newest >= back)
+                        request(newest - back);
+                }
+            }
+            // Exactly on the horizon: granted at newest - horizon, then
+            // judged against an append at newest and an out-of-order
+            // request just before and after it.
+            if (newest >= horizon + 1) {
+                const Cycle e = request(newest - horizon);
+                request(newest);
+                request(e - 1);
+                request(e + 1);
+                for (std::uint32_t i = 0; i < shape.cap + 1; ++i)
+                    request(e);
+            }
+            // A forward jump of 63-65 windows, then appends on one
+            // cycle: fewer than `cap` entries lie inside the horizon.
+            const Cycle jump = (63 + rng.nextBounded(3)) * shape.win +
+                               rng.nextBounded(shape.win);
+            t = newest + jump;
+            for (std::uint64_t i = 0; i < 2 * shape.cap; ++i)
+                request(t);
+            request(t - jump);
+            request(t - horizon);
+        }
+        EXPECT_GT(requests, 40u * 500u);
+    }
+}
+
 TEST(IntervalResource, NonOverlappingReservations)
 {
     IntervalResource res;
