@@ -16,8 +16,6 @@
 #include "common/serial.hh"
 #include "raster/rasterizer.hh"
 #include "sfc/tile_order.hh"
-#include "texture/sampler.hh"
-#include "texture/texture.hh"
 
 namespace {
 
@@ -60,57 +58,6 @@ BM_Rasterize(benchmark::State &state, SimdMode mode)
 }
 BENCHMARK_CAPTURE(BM_Rasterize, scalar, SimdMode::Scalar);
 BENCHMARK_CAPTURE(BM_Rasterize, lanes, SimdMode::Auto);
-
-// ---------------------------------------------------------------------
-// Texel footprints (quadSampleFootprints vs 4x sampleFootprint)
-// ---------------------------------------------------------------------
-
-void
-BM_Footprints(benchmark::State &state, SimdMode mode, FilterMode filter)
-{
-    const TextureDesc tex(0, 0, 256);
-    std::vector<Vec2f> uv(4 * 1024);
-    std::uint64_t rng = 0x13198a2e03707344ull;
-    for (auto &p : uv) {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        p = Vec2f{static_cast<float>(rng >> 40) /
-                      static_cast<float>(1u << 24),
-                  static_cast<float>((rng << 8) >> 40) /
-                      static_cast<float>(1u << 24)};
-    }
-    SampleFootprint fp[4];
-    for (auto _ : state) {
-        std::uint64_t acc = 0;
-        for (std::size_t q = 0; q < uv.size(); q += 4) {
-            if (mode == SimdMode::Auto) {
-                quadSampleFootprints(tex, filter, &uv[q], 0.4f, fp);
-                for (int k = 0; k < 4; ++k)
-                    acc += fp[k].texels[0];
-            } else {
-                for (int k = 0; k < 4; ++k) {
-                    fp[k] = sampleFootprint(tex, filter, uv[q + k].x,
-                                            uv[q + k].y, 0.4f);
-                    acc += fp[k].texels[0];
-                }
-            }
-            for (auto &f : fp)
-                f.count = 0;
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * uv.size()));
-}
-BENCHMARK_CAPTURE(BM_Footprints, bilinear_scalar, SimdMode::Scalar,
-                  FilterMode::Bilinear);
-BENCHMARK_CAPTURE(BM_Footprints, bilinear_lanes, SimdMode::Auto,
-                  FilterMode::Bilinear);
-BENCHMARK_CAPTURE(BM_Footprints, trilinear_scalar, SimdMode::Scalar,
-                  FilterMode::Trilinear);
-BENCHMARK_CAPTURE(BM_Footprints, trilinear_lanes, SimdMode::Auto,
-                  FilterMode::Trilinear);
 
 // ---------------------------------------------------------------------
 // Tile traversal (Morton decode, 4 cells per lane op)

@@ -63,8 +63,6 @@ from pathlib import Path
 # on purpose — a 64-bit lane loop measured slower on every backend).
 SIMD_PAIRS = [
     ("BM_Rasterize/scalar", "BM_Rasterize/lanes"),
-    ("BM_Footprints/bilinear_scalar", "BM_Footprints/bilinear_lanes"),
-    ("BM_Footprints/trilinear_scalar", "BM_Footprints/trilinear_lanes"),
     ("BM_TileOrder/zorder_scalar", "BM_TileOrder/zorder_lanes"),
     ("BM_ChecksumSerial", "BM_ChecksumStriped"),
 ]

@@ -114,18 +114,17 @@ GpuConfig::validate() const
         throwConfigError(
             "screen resolution %ux%u: width and height must be in "
             "[1, %u]", screenWidth, screenHeight, kMaxScreenSide);
-    if (tileSize == 0 || tileSize % 2 != 0)
+    // Every pipeline count builds the subtile layout, which needs a
+    // tile side of whole 2x2 quads that is a multiple of 4 quads.
+    if (tileSize == 0 || tileSize % 8 != 0)
         throwConfigError(
-            "tile size %u: must be a positive multiple of 2 "
-            "(quads are 2x2)", tileSize);
+            "tile size %u: must be a positive multiple of 8 (the "
+            "subtile layout needs tile/2 quads per side to be a "
+            "multiple of 4)", tileSize);
     if (numPipelines != 1 && numPipelines != 4)
         throwConfigError(
             "numPipelines %u: must be 1 (upper bound) or 4",
             numPipelines);
-    if (numPipelines == 4 && quadsPerTileSide() % 2 != 0)
-        throwConfigError(
-            "tile size %u: tile must split into 2x2 subtiles of whole "
-            "quads (tile/2 even)", tileSize);
     if (maxWarpsPerCore == 0)
         throwConfigError("warps (maxWarpsPerCore) must be >= 1");
     if (stageFifoDepth == 0)

@@ -139,7 +139,6 @@ inline U32x4 operator^(U32x4 a, U32x4 b)
 {
     return {_mm_xor_si128(a.v, b.v)};
 }
-inline U32x4 shrU4(U32x4 a, int n) { return {_mm_srli_epi32(a.v, n)}; }
 inline void
 storeU4(std::uint32_t *p, U32x4 a)
 {
@@ -199,11 +198,6 @@ inline U32x4 operator-(U32x4 a, U32x4 b) { return {vsubq_u32(a.v, b.v)}; }
 inline U32x4 operator&(U32x4 a, U32x4 b) { return {vandq_u32(a.v, b.v)}; }
 inline U32x4 operator|(U32x4 a, U32x4 b) { return {vorrq_u32(a.v, b.v)}; }
 inline U32x4 operator^(U32x4 a, U32x4 b) { return {veorq_u32(a.v, b.v)}; }
-inline U32x4
-shrU4(U32x4 a, int n)
-{
-    return {vshlq_u32(a.v, vdupq_n_s32(-n))};
-}
 inline void storeU4(std::uint32_t *p, U32x4 a) { vst1q_u32(p, a.v); }
 
 #else // DTEXL_SIMD_SCALAR
@@ -305,14 +299,6 @@ DTEXL_SCALAR_LANEOP4(operator-, U32x4, a.v[i] - b.v[i])
 DTEXL_SCALAR_LANEOP4(operator&, U32x4, a.v[i] & b.v[i])
 DTEXL_SCALAR_LANEOP4(operator|, U32x4, a.v[i] | b.v[i])
 DTEXL_SCALAR_LANEOP4(operator^, U32x4, a.v[i] ^ b.v[i])
-inline U32x4
-shrU4(U32x4 a, int n)
-{
-    U32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = a.v[i] >> n;
-    return r;
-}
 inline void
 storeU4(std::uint32_t *p, U32x4 a)
 {
@@ -552,10 +538,9 @@ loadU64x4(const std::uint64_t *p)
  * multiplies. AVX2 builds it from 32x32->64 partial products (no
  * pre-AVX-512 instruction multiplies 64-bit lanes directly); the other
  * backends round-trip through memory and multiply per lane. Either
- * way this is an expensive op — consumers that can use a shift should
- * (power-of-two multiplier, see texelAddr4 in texture/sampler.cc),
- * and latency-bound recurrences are faster as unrolled scalar chains
- * (see fnv1a64Striped).
+ * way this is an expensive op — a power-of-two multiplier is a shift
+ * (shlU64x4), and latency-bound recurrences are faster as unrolled
+ * scalar chains (see fnv1a64Striped).
  */
 #if defined(DTEXL_SIMD_AVX2)
 inline U64x4

@@ -64,37 +64,21 @@ ShaderCore::sampleQuad(Warp &warp, Cycle cycle)
         // for the warp's lifetime, so resolve them once and replay the
         // cached line lists on subsequent tex instructions. The level
         // of detail was already resolved batch-wide (resolveLods).
-        const float lod = warp.lod;
-        if (cfg.simdMode == SimdMode::Auto) {
-            // One fragment per lane; uncovered lanes compute too (their
-            // interpolated uv is as finite as their neighbours') but
-            // only covered results are kept, exactly as the scalar
-            // loop's skip.
-            Vec2f uv4[4];
-            for (unsigned k = 0; k < 4; ++k)
-                uv4[k] = qs.uv(qi, k);
-            SampleFootprint fps[4];
-            quadSampleFootprints(tex, shader.filter, uv4, lod, fps);
-            for (unsigned k = 0; k < 4; ++k) {
-                warp.fpCount[k] = 0;
-                if (!(cov & (1u << k)))
-                    continue;
-                warp.fpCount[k] = static_cast<std::uint8_t>(
-                    footprintLines(fps[k], cfg.textureCache.lineBytes,
-                                   warp.fpLines[k]));
-            }
-        } else {
-            for (unsigned k = 0; k < 4; ++k) {
-                warp.fpCount[k] = 0;
-                if (!(cov & (1u << k)))
-                    continue;
-                const Vec2f uv = qs.uv(qi, k);
-                const SampleFootprint fp = sampleFootprint(
-                    tex, shader.filter, uv.x, uv.y, lod);
-                warp.fpCount[k] = static_cast<std::uint8_t>(
-                    footprintLines(fp, cfg.textureCache.lineBytes,
-                                   warp.fpLines[k]));
-            }
+        // Uncovered fragments are resolved too (their interpolated uv
+        // is as finite as their neighbours'), but only covered results
+        // are kept.
+        Vec2f uv4[4];
+        for (unsigned k = 0; k < 4; ++k)
+            uv4[k] = qs.uv(qi, k);
+        SampleFootprint fps[4];
+        quadSampleFootprints(tex, shader.filter, uv4, warp.lod, fps);
+        for (unsigned k = 0; k < 4; ++k) {
+            warp.fpCount[k] = 0;
+            if (!(cov & (1u << k)))
+                continue;
+            warp.fpCount[k] = static_cast<std::uint8_t>(
+                footprintLines(fps[k], cfg.textureCache.lineBytes,
+                               warp.fpLines[k]));
         }
         warp.fpValid = true;
     }
@@ -219,23 +203,23 @@ struct ShaderCore::CoreRun
         const WarpSched policy = core->cfg.warpScheduler;
         if (policy == WarpSched::EarliestReady) {
             // The argmin over (readyAt, batchIndex) is ready by `cycle`.
-            // The comparison outcome is data-dependent, so the select
-            // is a mask: compilers turn a ternary here into a branch
-            // that mispredicts.
+            // One 128-bit key orders both fields, so each slot costs
+            // one compare and two selects; its outcome is
+            // data-dependent, which the selects keep off the branch
+            // predictor.
+            using Key = unsigned __int128;
+            const auto key = [](const Slot &s) {
+                return (Key{s.readyAt} << 64) | s.batchIndex;
+            };
             std::size_t best = 0;
-            Cycle best_ready = slots[0].readyAt;
-            std::size_t best_batch = slots[0].batchIndex;
+            Key best_key = key(slots[0]);
             for (std::size_t i = 1; i < n; ++i) {
-                const Slot &s = slots[i];
-                const std::uint64_t take =
-                    0 - static_cast<std::uint64_t>(
-                            (s.readyAt < best_ready) |
-                            ((s.readyAt == best_ready) &
-                             (s.batchIndex < best_batch)));
-                best ^= (best ^ i) & take;
-                best_ready ^= (best_ready ^ s.readyAt) & take;
-                best_batch ^= (best_batch ^ s.batchIndex) & take;
+                const Key k = key(slots[i]);
+                const bool take = k < best_key;
+                best_key = take ? k : best_key;
+                best = take ? i : best;
             }
+            const auto best_ready = static_cast<Cycle>(best_key >> 64);
             cycle = std::max(best_ready, nextIssueAt);
             return best;
         }

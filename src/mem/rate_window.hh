@@ -53,58 +53,66 @@ class RateWindow
      * @param stalled Set true when the reservation had to be delayed.
      * @return Granted start cycle.
      *
-     * `ring` holds the sorted history in [head, ring.size()), pruning
+     * `ring` holds the sorted history in [head, ring.size()); pruning
      * advances `head`, and the dead prefix is compacted in bulk.
-     * Appends (the in-order common case) skip the binary search
-     * entirely.
+     * Appends (the in-order common case) check one entry and skip both
+     * the binary search and the prune; see prune() for why that is
+     * exact.
      */
     Cycle
     reserve(Cycle now, bool &stalled)
     {
-        // Bound the history by a time horizon: entries more than
-        // kHorizonWindows windows older than the newest reservation
-        // can no longer constrain any request we guarantee the
-        // invariant for. Because granted density is at most cap/win,
-        // this also bounds memory to ~kHorizonWindows * cap entries.
+        stalled = false;
         const std::size_t live = ring.size() - head;
-        if (live > 0) {
-            const Cycle newest = ring.back();
-            const Cycle horizon = win * kHorizonWindows;
-            while (head < ring.size() &&
-                   ring[head] + horizon < newest) {
-                ++head;
-            }
-            // Compact once the dead prefix dominates; amortized O(1).
-            if (head > 1024 && head * 2 > ring.size()) {
-                ring.erase(ring.begin(),
-                           ring.begin() +
-                               static_cast<std::ptrdiff_t>(head));
-                head = 0;
+        if (live != 0 && now < ring.back())
+            return reserveOutOfOrder(now, stalled);
+        // Append fast path, O(1): with nothing after `start`, the only
+        // candidate run the search's k loop could flag is `start` plus
+        // the newest `cap` entries (k = cap is the only k with first +
+        // cap <= n), so the whole violation scan collapses to one
+        // comparison against the cap-th newest entry. After one
+        // advance to it + win the run spans exactly `win` cycles — no
+        // violation — and `start` only grew, so the append
+        // precondition still holds.
+        Cycle start = now;
+        if (live >= cap) {
+            const Cycle crowd = ring[ring.size() - cap];
+            if (start < crowd + win) {
+                stalled = true;
+                start = crowd + win;
             }
         }
+        ring.push_back(start);
+        if (live >= pruneAt)
+            prune();
+        return start;
+    }
 
-        stalled = false;
+    void
+    clear()
+    {
+        ring.clear();
+        head = 0;
+        pruneAt = kMinPruneAt;
+    }
+
+  private:
+    /** Retained history, in windows behind the newest reservation. */
+    static constexpr Cycle kHorizonWindows = 64;
+    /** Fewest live entries at which an append prunes. */
+    static constexpr std::size_t kMinPruneAt = 1024;
+
+    /**
+     * reserve() for a request before the newest entry: prune, then
+     * search the sorted history. Kept out of line so that the append
+     * path stays small enough to inline into the cache's port.
+     */
+    [[gnu::noinline]] Cycle
+    reserveOutOfOrder(Cycle now, bool &stalled)
+    {
+        prune();
         const Cycle *base = ring.data() + head;
         Cycle start = now;
-        {
-            // Append fast path, O(1): with nothing after `start`, the
-            // only candidate run the k loop below could flag is `start`
-            // plus the newest `cap` entries (k = cap is the only k with
-            // first + cap <= n), so the whole violation scan collapses
-            // to one comparison against base[n - cap]. After one
-            // advance to base[n - cap] + win the run spans exactly
-            // `win` cycles — no violation — and `start` only grew, so
-            // the append precondition still holds.
-            const std::size_t n = ring.size() - head;
-            if (n == 0 || start >= base[n - 1]) {
-                if (n >= cap && start < base[n - cap] + win) {
-                    stalled = true;
-                    start = base[n - cap] + win;
-                }
-                ring.push_back(start);
-                return start;
-            }
-        }
         for (;;) {
             // Inserting `start` must not create any run of cap+1
             // reservations spanning fewer than `win` cycles. Examine
@@ -157,21 +165,49 @@ class RateWindow
         }
     }
 
-    void
-    clear()
+    /**
+     * Drop the entries more than kHorizonWindows windows older than the
+     * newest reservation: they can no longer constrain any request we
+     * guarantee the invariant for. The rule and its `newest` are those
+     * of a prune before every request, and running it only before an
+     * out-of-order search (and every so many appends, to bound memory)
+     * changes no grant:
+     *  - a prunable entry e has e + horizon < newest <= start on the
+     *    append path, so it lies more than `win` before `start` and
+     *    can never stall an append;
+     *  - the history is sorted, so the prunable entries are a prefix:
+     *    the append path's cap-th newest entry is the one a pruned
+     *    history holds there, or, when fewer than cap entries lie
+     *    inside the horizon, a prunable one that cannot stall;
+     *  - `newest` only grows, so an entry prunable once stays
+     *    prunable, and the search sees exactly the eager history.
+     * Granted density is at most cap per window inside the horizon, so
+     * the live history stays below about max(2 * (kHorizonWindows + 2)
+     * * cap, kMinPruneAt) entries.
+     */
+    [[gnu::noinline]] void
+    prune()
     {
-        ring.clear();
-        head = 0;
+        const Cycle newest = ring.back();
+        const Cycle horizon = win * kHorizonWindows;
+        // Stops at the newest entry at the latest.
+        while (ring[head] + horizon < newest)
+            ++head;
+        // Compact once the dead prefix dominates; amortized O(1).
+        if (head > 1024 && head * 2 > ring.size()) {
+            ring.erase(ring.begin(),
+                       ring.begin() + static_cast<std::ptrdiff_t>(head));
+            head = 0;
+        }
+        pruneAt = std::max(2 * (ring.size() - head), kMinPruneAt);
     }
-
-  private:
-    /** Retained history, in windows behind the newest reservation. */
-    static constexpr Cycle kHorizonWindows = 64;
 
     std::uint32_t cap;
     Cycle win;
     std::vector<Cycle> ring;    ///< history; live part sorted
     std::size_t head = 0;       ///< first live entry of `ring`
+    /** Live entries at which the next append prunes. */
+    std::size_t pruneAt = kMinPruneAt;
 };
 
 /**

@@ -5,9 +5,9 @@
  * (common/simd.hh). Every operation is a shift/mask/or on u64 lanes —
  * exact on all backends — so lane and scalar results are bit-identical
  * by construction (tests/test_simd.cc sweeps the codec over random and
- * boundary coordinates). Consumers: batched texel-address generation
- * (texture/sampler.cc) and the Z-order tile traversal
- * (sfc/tile_order.cc).
+ * boundary coordinates). Consumer: the Z-order tile traversal
+ * (sfc/tile_order.cc), which decodes; the encoder has had no caller
+ * since texel addressing became scalar code (texture/sampler.cc).
  */
 
 #ifndef DTEXL_SFC_MORTON_LANES_HH

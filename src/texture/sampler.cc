@@ -2,113 +2,177 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <limits>
 
 #include "common/log.hh"
-#include "common/simd.hh"
-#include "sfc/morton_lanes.hh"
+#include "sfc/morton.hh"
 
 namespace dtexl {
 
 namespace {
 
 /**
- * Wrap a texel coordinate into [0, side) for repeat addressing. Sides
- * are powers of two (asserted by TextureDesc), so the Euclidean
- * remainder is the low bits of the two's-complement representation —
- * a mask instead of a 64-bit division.
+ * Exact floor of a float into an int64, for |x| < 2^63, without a libm
+ * call: truncate toward zero, then step down where that rounded a
+ * negative non-integer up. A float of magnitude >= 2^24 is already an
+ * integer, so the truncation is exact there and the compare is false.
+ * Out of range, the conversion's own result (INT64_MIN on x86-64, as
+ * std::floor plus the cast gave) is left unadjusted, so nothing
+ * overflows.
  */
-std::uint32_t
-wrap(std::int64_t c, std::uint32_t side)
+inline std::int64_t
+floorToInt64(float x)
 {
-    return static_cast<std::uint32_t>(c) & (side - 1);
-}
-
-/** Add the 2x2 bilinear tap around (u, v) at the given level. */
-void
-addBilinearTap(const TextureDesc &tex, std::uint32_t level, float u,
-               float v, SampleFootprint &fp)
-{
-    const std::uint32_t side = tex.levelSide(level);
-    // Texel-centre convention: the tap spans floor(x-0.5)..+1.
-    const float x = u * static_cast<float>(side) - 0.5f;
-    const float y = v * static_cast<float>(side) - 0.5f;
-    const auto x0 = static_cast<std::int64_t>(std::floor(x));
-    const auto y0 = static_cast<std::int64_t>(std::floor(y));
-    for (int dy = 0; dy < 2; ++dy) {
-        for (int dx = 0; dx < 2; ++dx) {
-            fp.add(tex.texelAddr(level, wrap(x0 + dx, side),
-                                 wrap(y0 + dy, side)));
-        }
-    }
+    const auto t = static_cast<std::int64_t>(x);
+    const bool down = (x < static_cast<float>(t)) &
+                      (t != std::numeric_limits<std::int64_t>::min());
+    return t - static_cast<std::int64_t>(down);
 }
 
 /**
- * Lane twin of TextureDesc::texelAddr: four texel addresses per call,
- * one fragment per lane. Same arithmetic — Morton code times the
- * format's bytes-per-unit plus the level base — as lane integer ops,
- * so each lane equals the scalar call exactly.
+ * Addressing of one mip level in dilated (Morton bit-spread) form, the
+ * same layout as TextureDesc::texelAddr: the address of texel (x, y) is
+ * base + ((mortonSpread(x >> unitShift) | mortonSpread(y >> unitShift)
+ * << 1) << byteShift), where the addressing unit is a texel, or a 4x4
+ * block for ETC2 (8 bytes each).
  */
-U64x4
-texelAddr4(const TextureDesc &tex, std::uint32_t level, U32x4 x, U32x4 y)
+struct LevelAddr
 {
+    Addr base;
+    std::uint32_t side;
+    float sideF;
+    std::uint32_t unitShift;
+    std::uint32_t byteShift;
+    /** Dilated mask of the level's unit x coordinates (even bits). */
+    std::uint64_t xMask;
+};
+
+LevelAddr
+levelAddr(const TextureDesc &tex, std::uint32_t level)
+{
+    const std::uint32_t side = tex.levelSide(level);
     const std::uint32_t bs = blockSide(tex.format());
-    const U64x4 base = splatU64x4(tex.mipBase(level));
-    if (bs > 1) {
-        // Compressed: address the block (x/bs, y/bs); each ETC2 block
-        // is 8 bytes. bs is a power of two, so the divides are shifts.
-        const int sh = std::countr_zero(bs);
-        const U64x4 code = mortonEncode4(shrU4(x, sh), shrU4(y, sh));
-        return base + shlU64x4(code, 3);
-    }
-    // Uncompressed bytes/texel (4 for RGBA8, 2 for RGB565) is a power
-    // of two, so the multiply is a lane shift — mulU64x4 is slow on
-    // backends without a native 64-bit lane multiply.
-    const TexelRate r = texelRate(tex.format());
-    return base +
-           shlU64x4(mortonEncode4(x, y), std::countr_zero(r.bytesNum));
+    const auto unit_shift =
+        static_cast<std::uint32_t>(std::countr_zero(bs));
+    const auto byte_shift = static_cast<std::uint32_t>(
+        bs > 1 ? 3 : std::countr_zero(texelRate(tex.format()).bytesNum));
+    return {tex.mipBase(level), side, static_cast<float>(side),
+            unit_shift, byte_shift, mortonSpread((side - 1) >> unit_shift)};
 }
 
 /**
- * Lane twin of addBilinearTap for four fragments sharing a level: the
- * texel-centre offset runs 4-wide; floor and the float->int conversion
- * stay scalar per lane (no bit-exact vector floor on the SSE2
- * baseline). Truncating the int64 texel coordinate to u32 up front is
- * exact because wrap() keeps only the low bits and u32 lane adds agree
- * with int64 adds mod 2^32. Taps append to each fragment's footprint
- * in the same (dy, dx) order as the scalar loop.
+ * Dilated increment with wrap: add @p carry (0 or 1) to the coordinate
+ * spread under @p mask. Setting every bit outside the mask makes the
+ * carry ripple across them; the carry out of the top coordinate bit is
+ * masked off, which is the repeat wrap.
  */
-void
-addBilinearTap4(const TextureDesc &tex, std::uint32_t level, F32x4 u,
-                F32x4 v, SampleFootprint fp[4])
+inline std::uint64_t
+dilatedStep(std::uint64_t s, std::uint64_t mask, std::uint64_t carry)
 {
-    const std::uint32_t side = tex.levelSide(level);
-    const F32x4 sv = splatF4(static_cast<float>(side));
-    const F32x4 half = splatF4(0.5f);
-    float xs[4], ys[4];
-    storeF4(xs, u * sv - half);
-    storeF4(ys, v * sv - half);
-    std::uint32_t xi[4], yi[4];
-    for (int k = 0; k < 4; ++k) {
-        xi[k] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(std::floor(xs[k])));
-        yi[k] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(std::floor(ys[k])));
-    }
-    const U32x4 mask = splatU4(side - 1);
-    const U32x4 x0 = makeU4(xi[0], xi[1], xi[2], xi[3]);
-    const U32x4 y0 = makeU4(yi[0], yi[1], yi[2], yi[3]);
-    for (int dy = 0; dy < 2; ++dy) {
-        for (int dx = 0; dx < 2; ++dx) {
-            const U32x4 wx =
-                (x0 + splatU4(static_cast<std::uint32_t>(dx))) & mask;
-            const U32x4 wy =
-                (y0 + splatU4(static_cast<std::uint32_t>(dy))) & mask;
-            Addr a[4];
-            storeU64x4(a, texelAddr4(tex, level, wx, wy));
-            for (int k = 0; k < 4; ++k)
-                fp[k].add(a[k]);
-        }
+    return ((s | ~mask) + carry) & mask;
+}
+
+/**
+ * Append the texel of (u, v) under nearest filtering. Sides are powers
+ * of two (asserted by TextureDesc), so the repeat wrap of the int64
+ * texel coordinate is a mask of its low bits.
+ */
+inline void
+addNearestTap(const LevelAddr &l, float u, float v, SampleFootprint &fp)
+{
+    const std::uint32_t wrap = l.side - 1;
+    const auto x = static_cast<std::uint32_t>(floorToInt64(u * l.sideF)) &
+                   wrap;
+    const auto y = static_cast<std::uint32_t>(floorToInt64(v * l.sideF)) &
+                   wrap;
+    const std::uint64_t code = mortonSpread(x >> l.unitShift) |
+                               (mortonSpread(y >> l.unitShift) << 1);
+    fp.texels[fp.count++] = l.base + (code << l.byteShift);
+}
+
+/**
+ * Append the 2x2 bilinear tap around (u, v), in (dy, dx) order. One
+ * Morton spread per axis; the +1 neighbour is a dilated increment,
+ * which also wraps. It moves to the next addressing unit only when the
+ * base texel is the last of its unit (always, for uncompressed
+ * formats).
+ */
+inline void
+addBilinearTap(const LevelAddr &l, float u, float v, SampleFootprint &fp)
+{
+    // Texel-centre convention: the tap spans floor(x-0.5)..+1.
+    const std::uint32_t wrap = l.side - 1;
+    const auto x0 = static_cast<std::uint32_t>(
+                        floorToInt64(u * l.sideF - 0.5f)) &
+                    wrap;
+    const auto y0 = static_cast<std::uint32_t>(
+                        floorToInt64(v * l.sideF - 0.5f)) &
+                    wrap;
+    const std::uint32_t unit_mask = (1u << l.unitShift) - 1;
+    const std::uint64_t sx0 = mortonSpread(x0 >> l.unitShift);
+    const std::uint64_t sy0 = mortonSpread(y0 >> l.unitShift) << 1;
+    const std::uint64_t sx1 =
+        dilatedStep(sx0, l.xMask, ((x0 + 1) & unit_mask) == 0);
+    const std::uint64_t sy1 =
+        dilatedStep(sy0, l.xMask << 1, ((y0 + 1) & unit_mask) == 0);
+    // At most two taps per sample, so four more texels always fit
+    // (kMaxTexels).
+    Addr *t = fp.texels.data() + fp.count;
+    t[0] = l.base + ((sx0 | sy0) << l.byteShift);
+    t[1] = l.base + ((sx1 | sy0) << l.byteShift);
+    t[2] = l.base + ((sx0 | sy1) << l.byteShift);
+    t[3] = l.base + ((sx1 | sy1) << l.byteShift);
+    fp.count += 4;
+}
+
+/**
+ * What one sample needs besides its uv: the filter, the addressing of
+ * its level(s) and the anisotropic tap offset. A quad's fragments share
+ * texture, filter and lod, so the quad resolves this once.
+ */
+struct SampleLevels
+{
+    FilterMode mode;
+    LevelAddr l0;
+    LevelAddr l1;  ///< second trilinear level
+    float du;      ///< anisotropic tap offset along u
+};
+
+SampleLevels
+sampleLevels(const TextureDesc &tex, FilterMode mode, float lod)
+{
+    const auto max_level = static_cast<float>(tex.numMipLevels() - 1);
+    const float clamped = std::clamp(lod, 0.0f, max_level);
+    const auto l0 = static_cast<std::uint32_t>(clamped);
+    SampleLevels s{mode, levelAddr(tex, l0), {}, 0.0f};
+    if (mode == FilterMode::Trilinear)
+        s.l1 = levelAddr(tex, std::min(l0 + 1, tex.numMipLevels() - 1));
+    // Two bilinear taps spread along the axis of anisotropy
+    // (approximated as u); Heckbert-style elliptical footprint.
+    if (mode == FilterMode::Aniso2x)
+        s.du = 0.5f / s.l0.sideF;
+    return s;
+}
+
+/** The footprint of one sample at (u, v); @p fp starts empty. */
+inline void
+addSample(const SampleLevels &s, float u, float v, SampleFootprint &fp)
+{
+    switch (s.mode) {
+      case FilterMode::Nearest:
+        addNearestTap(s.l0, u, v, fp);
+        break;
+      case FilterMode::Bilinear:
+        addBilinearTap(s.l0, u, v, fp);
+        break;
+      case FilterMode::Trilinear:
+        addBilinearTap(s.l0, u, v, fp);
+        addBilinearTap(s.l1, u, v, fp);
+        break;
+      case FilterMode::Aniso2x:
+        addBilinearTap(s.l0, u - s.du, v, fp);
+        addBilinearTap(s.l0, u + s.du, v, fp);
+        break;
     }
 }
 
@@ -131,41 +195,7 @@ sampleFootprint(const TextureDesc &tex, FilterMode mode, float u, float v,
                 float lod)
 {
     SampleFootprint fp;
-    const auto max_level =
-        static_cast<float>(tex.numMipLevels() - 1);
-    const float clamped = std::clamp(lod, 0.0f, max_level);
-    const auto l0 = static_cast<std::uint32_t>(clamped);
-
-    switch (mode) {
-      case FilterMode::Nearest: {
-        const std::uint32_t side = tex.levelSide(l0);
-        const auto x = static_cast<std::int64_t>(
-            std::floor(u * static_cast<float>(side)));
-        const auto y = static_cast<std::int64_t>(
-            std::floor(v * static_cast<float>(side)));
-        fp.add(tex.texelAddr(l0, wrap(x, side), wrap(y, side)));
-        break;
-      }
-      case FilterMode::Bilinear:
-        addBilinearTap(tex, l0, u, v, fp);
-        break;
-      case FilterMode::Trilinear: {
-        addBilinearTap(tex, l0, u, v, fp);
-        const std::uint32_t l1 =
-            std::min(l0 + 1, tex.numMipLevels() - 1);
-        addBilinearTap(tex, l1, u, v, fp);
-        break;
-      }
-      case FilterMode::Aniso2x: {
-        // Two bilinear taps spread along the axis of anisotropy
-        // (approximated as u); Heckbert-style elliptical footprint.
-        const float du =
-            0.5f / static_cast<float>(tex.levelSide(l0));
-        addBilinearTap(tex, l0, u - du, v, fp);
-        addBilinearTap(tex, l0, u + du, v, fp);
-        break;
-      }
-    }
+    addSample(sampleLevels(tex, mode, lod), u, v, fp);
     return fp;
 }
 
@@ -173,60 +203,10 @@ void
 quadSampleFootprints(const TextureDesc &tex, FilterMode mode,
                      const Vec2f uv[4], float lod, SampleFootprint fp[4])
 {
-    float us[4], vs[4];
+    const SampleLevels s = sampleLevels(tex, mode, lod);
     for (int k = 0; k < 4; ++k) {
-        us[k] = uv[k].x;
-        vs[k] = uv[k].y;
-    }
-    const F32x4 u = loadF4(us);
-    const F32x4 v = loadF4(vs);
-    // The level selection is shared by the whole quad (one lod), so it
-    // stays scalar — identical to sampleFootprint.
-    const auto max_level = static_cast<float>(tex.numMipLevels() - 1);
-    const float clamped = std::clamp(lod, 0.0f, max_level);
-    const auto l0 = static_cast<std::uint32_t>(clamped);
-
-    switch (mode) {
-      case FilterMode::Nearest: {
-        const std::uint32_t side = tex.levelSide(l0);
-        float xs[4], ys[4];
-        const F32x4 sv = splatF4(static_cast<float>(side));
-        storeF4(xs, u * sv);
-        storeF4(ys, v * sv);
-        std::uint32_t xi[4], yi[4];
-        for (int k = 0; k < 4; ++k) {
-            xi[k] = static_cast<std::uint32_t>(
-                static_cast<std::int64_t>(std::floor(xs[k])));
-            yi[k] = static_cast<std::uint32_t>(
-                static_cast<std::int64_t>(std::floor(ys[k])));
-        }
-        const U32x4 mask = splatU4(side - 1);
-        const U32x4 wx = makeU4(xi[0], xi[1], xi[2], xi[3]) & mask;
-        const U32x4 wy = makeU4(yi[0], yi[1], yi[2], yi[3]) & mask;
-        Addr a[4];
-        storeU64x4(a, texelAddr4(tex, l0, wx, wy));
-        for (int k = 0; k < 4; ++k)
-            fp[k].add(a[k]);
-        break;
-      }
-      case FilterMode::Bilinear:
-        addBilinearTap4(tex, l0, u, v, fp);
-        break;
-      case FilterMode::Trilinear: {
-        addBilinearTap4(tex, l0, u, v, fp);
-        const std::uint32_t l1 =
-            std::min(l0 + 1, tex.numMipLevels() - 1);
-        addBilinearTap4(tex, l1, u, v, fp);
-        break;
-      }
-      case FilterMode::Aniso2x: {
-        const float du =
-            0.5f / static_cast<float>(tex.levelSide(l0));
-        const F32x4 duv = splatF4(du);
-        addBilinearTap4(tex, l0, u - duv, v, fp);
-        addBilinearTap4(tex, l0, u + duv, v, fp);
-        break;
-      }
+        fp[k].count = 0;
+        addSample(s, uv[k].x, uv[k].y, fp[k]);
     }
 }
 

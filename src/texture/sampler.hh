@@ -32,16 +32,10 @@ enum class FilterMode : std::uint8_t
 /** Texel addresses touched by one fragment's sample. */
 struct SampleFootprint
 {
+    /** Room for every filter's footprint (at most two 2x2 taps). */
     static constexpr std::uint32_t kMaxTexels = 16;
     std::array<Addr, kMaxTexels> texels;
     std::uint32_t count = 0;
-
-    void
-    add(Addr a)
-    {
-        if (count < kMaxTexels)
-            texels[count++] = a;
-    }
 };
 
 /** Number of texel reads a filter performs per fragment. */
@@ -59,14 +53,11 @@ SampleFootprint sampleFootprint(const TextureDesc &tex, FilterMode mode,
                                 float u, float v, float lod);
 
 /**
- * Lane twin of sampleFootprint for the four fragments of one quad,
- * which share texture, filter and lod: the uv-to-texel arithmetic and
- * the Morton texel addressing run one fragment per lane
- * (common/simd.hh), with the float->int conversion scalar per lane.
- * fp[k] is bit-identical to sampleFootprint(tex, mode, uv[k].x,
+ * sampleFootprint for the four fragments of one quad, which share
+ * texture, filter and lod: the level addressing is resolved once per
+ * quad. fp[k] is overwritten with sampleFootprint(tex, mode, uv[k].x,
  * uv[k].y, lod) — texels in the same order — for every fragment,
- * covered or not (tests/test_simd.cc); the caller applies its
- * coverage mask to the results.
+ * covered or not; the caller applies its coverage mask to the results.
  */
 void quadSampleFootprints(const TextureDesc &tex, FilterMode mode,
                           const Vec2f uv[4], float lod,

@@ -21,8 +21,9 @@ TextureDesc::TextureDesc(TextureId id, Addr base_addr, std::uint32_t side,
     : id_(id), base(base_addr), side_(side), fmt(fmt)
 {
     // Structured error, not an assert: the sampler's repeat addressing
-    // wraps coordinates with a pow2 mask (texture/sampler.cc wrap(), and
-    // its lane twin), so a non-pow2 side would silently alias texels.
+    // wraps coordinates with a pow2 mask and a dilated-integer step
+    // (texture/sampler.cc), so a non-pow2 side would silently alias
+    // texels.
     // Sides come from scene files, making this user input, not an
     // internal invariant.
     if (side == 0 || (side & (side - 1)) != 0)

@@ -83,9 +83,8 @@ class TextureDesc
     }
 
     /**
-     * Byte address of mip level @p level; the batched address
-     * generator (texture/sampler.cc) adds lane-computed Morton offsets
-     * to this base.
+     * Byte address of mip level @p level; the footprint generator
+     * (texture/sampler.cc) adds its own Morton offsets to this base.
      */
     Addr
     mipBase(std::uint32_t level) const

@@ -109,6 +109,18 @@ TEST(ConfigValidate, RejectsEveryBrokenKnobByName)
                        "tile size");
     expectConfigReject([](GpuConfig &c) { c.tileSize = 0; },
                        "tile size");
+    // Even sizes whose side in quads is not a multiple of 4: the
+    // subtile layout would assert (an internal error) instead.
+    expectConfigReject([](GpuConfig &c) { c.tileSize = 4; },
+                       "tile size");
+    expectConfigReject([](GpuConfig &c) { c.tileSize = 12; },
+                       "tile size");
+    expectConfigReject(
+        [](GpuConfig &c) {
+            c = makeUpperBoundConfig();
+            c.tileSize = 12;
+        },
+        "tile size");
     expectConfigReject([](GpuConfig &c) { c.numPipelines = 3; },
                        "numPipelines");
     expectConfigReject([](GpuConfig &c) { c.maxWarpsPerCore = 0; },

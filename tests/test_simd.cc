@@ -3,8 +3,7 @@
  * Scalar-vs-SIMD bit-exactness battery for the portable lane layer
  * (common/simd.hh) and every kernel built on it: the lane primitives'
  * scalar semantics (ordered-compare behaviour on NaN), the Morton codec, the striped FNV checksum,
- * batched texel footprints (quadSampleFootprints), the vectorized
- * rasterizer, and finally whole-frame equivalence: FrameStats,
+ * the vectorized rasterizer, and finally whole-frame equivalence: FrameStats,
  * registry counters and the image hash must be byte-identical under
  * --simd=auto and --simd=scalar for every preset. Also holds
  * the pow2-texture-side regression tests (the repeat-addressing wrap
@@ -31,7 +30,6 @@
 #include "sfc/tile_order.hh"
 #include "stats_equality.hh"
 #include "telemetry/cli_options.hh"
-#include "texture/sampler.hh"
 #include "texture/texture.hh"
 #include "workloads/scene_io.hh"
 #include "workloads/scenegen.hh"
@@ -276,78 +274,6 @@ TEST(SimdHash, StripedFnvFormatIsFrozen)
     // Not interchangeable with the serial digest (a mixed-up call site
     // must fail checksum verification, not silently pass).
     EXPECT_NE(fnv1a64Striped(buf), fnv1a64(buf));
-}
-
-// ---------------------------------------------------------------------
-// Batched texel footprints (quadSampleFootprints)
-// ---------------------------------------------------------------------
-
-void
-expectSameFootprints(const TextureDesc &tex, FilterMode mode,
-                     const Vec2f uv[4], float lod)
-{
-    SampleFootprint fp[4];
-    quadSampleFootprints(tex, mode, uv, lod, fp);
-    for (int k = 0; k < 4; ++k) {
-        const SampleFootprint ref =
-            sampleFootprint(tex, mode, uv[k].x, uv[k].y, lod);
-        ASSERT_EQ(fp[k].count, ref.count)
-            << "fmt=" << toString(tex.format())
-            << " mode=" << static_cast<int>(mode) << " frag=" << k
-            << " uv=(" << uv[k].x << "," << uv[k].y << ") lod=" << lod;
-        for (std::uint32_t t = 0; t < ref.count; ++t)
-            EXPECT_EQ(fp[k].texels[t], ref.texels[t])
-                << "fmt=" << toString(tex.format()) << " frag=" << k
-                << " tap=" << t;
-    }
-}
-
-TEST(SimdFootprint, QuadFootprintsMatchScalar)
-{
-    const TextureDesc textures[] = {
-        TextureDesc(0, 0, 64, TexFormat::RGBA8),
-        TextureDesc(1, 1 << 20, 32, TexFormat::RGB565),
-        TextureDesc(2, 1 << 21, 64, TexFormat::ETC2),
-        TextureDesc(3, 1 << 22, 1, TexFormat::RGBA8),  // 1x1 edge case
-    };
-    const FilterMode modes[] = {FilterMode::Nearest, FilterMode::Bilinear,
-                                FilterMode::Trilinear,
-                                FilterMode::Aniso2x};
-    // LODs: base level, fractional, exact level boundary, beyond the
-    // chain (clamped), and the last level.
-    const float lods[] = {0.0f, 0.37f, 1.0f, 2.6f, 100.0f};
-
-    // Wrap-boundary straddling quads: taps around u=0 and u=1 must
-    // wrap to the far column identically in both implementations, as
-    // must coordinates far outside [0, 1).
-    const Vec2f straddles[][4] = {
-        {{-0.001f, 0.5f}, {0.001f, 0.5f}, {-0.001f, 0.52f},
-         {0.001f, 0.52f}},
-        {{0.999f, 0.0f}, {1.001f, 0.0f}, {0.999f, -0.01f},
-         {1.001f, 0.996f}},
-        {{0.0f, 0.0f}, {1.0f, 1.0f}, {-1.0f, 2.0f}, {0.5f, -2.5f}},
-        // Exactly on texel centres and corners (side 64: centres at
-        // k/64 + 1/128) — the floor(x - 0.5) boundary.
-        {{0.5f, 0.5f}, {0.5f + 1.0f / 128.0f, 0.5f},
-         {0.25f, 0.5f + 1.0f / 128.0f}, {31.0f / 64.0f, 33.0f / 64.0f}},
-    };
-
-    Rng rng;
-    for (const TextureDesc &tex : textures) {
-        for (FilterMode mode : modes) {
-            for (float lod : lods) {
-                for (const auto &uv : straddles)
-                    expectSameFootprints(tex, mode, uv, lod);
-                for (int iter = 0; iter < 25; ++iter) {
-                    Vec2f uv[4];
-                    for (auto &p : uv)
-                        p = Vec2f{rng.uniform(-2.0f, 3.0f),
-                                  rng.uniform(-2.0f, 3.0f)};
-                    expectSameFootprints(tex, mode, uv, lod);
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
