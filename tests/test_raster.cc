@@ -2,15 +2,18 @@
  * @file
  * Tests for the Rasterizer and frame buffer: coverage against the
  * reference predicate, the shared-edge exactly-once property (top-left
- * fill rule), attribute interpolation, tile clipping, and the
- * order-sensitivity of the blend arithmetic.
+ * fill rule), attribute interpolation, tile clipping, a digest pin of
+ * the rasterizer's exact output bits, and the order-sensitivity of the
+ * blend arithmetic.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "geom/prim_assembler.hh"
 #include "raster/framebuffer.hh"
 #include "raster/rasterizer.hh"
@@ -208,6 +211,118 @@ TEST(Rasterizer, PartialEdgeTileClampsToScreen)
             EXPECT_LT(px, 100);
         }
     }
+}
+
+/** Deterministic xorshift64 for the randomized digest sweep. */
+struct XorShift64
+{
+    std::uint64_t s = 0x9e3779b97f4a7c15ull;
+    std::uint64_t
+    next()
+    {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        return s;
+    }
+    /** Uniform float in [lo, hi). */
+    float
+    uniform(float lo, float hi)
+    {
+        const float t = static_cast<float>(next() >> 40) /
+                        static_cast<float>(1u << 24);
+        return lo + (hi - lo) * t;
+    }
+};
+
+Primitive
+randomTri(XorShift64 &rng, float lo, float hi)
+{
+    Primitive p;
+    for (int i = 0; i < 3; ++i) {
+        p.v[i].screen =
+            Vec2f{rng.uniform(lo, hi), rng.uniform(lo, hi)};
+        p.v[i].depth = rng.uniform(0.0f, 1.0f);
+        p.v[i].uv = Vec2f{rng.uniform(-1.0f, 2.0f),
+                          rng.uniform(-1.0f, 2.0f)};
+    }
+    return p;
+}
+
+/**
+ * Every bit the rasterizer emits, pinned: quad coords, coverage and the
+ * depth/uv bit patterns of all four fragments (helper pixels included)
+ * for 400 random triangles x 4 tiles — big overlapping ones, slivers
+ * that barely touch pixel centres, off-screen spans (the screen clamp)
+ * and vertices on pixel centres (edge functions exactly zero, so the
+ * top-left rule decides) — plus zero-area triangles, which emit
+ * nothing. Recorded with both the lane and the per-fragment scalar
+ * rasterizers, which agreed bit for bit.
+ */
+TEST(Rasterizer, QuadDigestIsPinned)
+{
+    GpuConfig cfg;
+    cfg.screenWidth = 64;
+    cfg.screenHeight = 48;
+    const Rasterizer rast(cfg);
+
+    XorShift64 rng;
+    Fnv1a64 digest;
+    std::uint64_t quads = 0;
+    auto rasterize = [&](const Primitive &p, Coord2 tc) {
+        std::vector<Quad> out;
+        const std::size_t n = rast.rasterize(p, tc, out);
+        EXPECT_EQ(n, out.size());
+        digest.u64(n);
+        for (const Quad &q : out) {
+            digest.u32(static_cast<std::uint32_t>(q.quadInTile.x));
+            digest.u32(static_cast<std::uint32_t>(q.quadInTile.y));
+            digest.byte(q.coverage);
+            for (const Fragment &f : q.frags) {
+                digest.f32(f.depth);
+                digest.f32(f.uv.x);
+                digest.f32(f.uv.y);
+            }
+        }
+        quads += n;
+        return n;
+    };
+
+    const Coord2 tiles[] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
+    for (int iter = 0; iter < 400; ++iter) {
+        Primitive p = iter % 3 == 0 ? randomTri(rng, -16.0f, 80.0f)
+                                    : randomTri(rng, 0.0f, 64.0f);
+        if (iter % 5 == 0) {
+            // Sliver: collapse towards an edge.
+            p.v[2].screen = Vec2f{
+                p.v[0].screen.x +
+                    0.9f * (p.v[1].screen.x - p.v[0].screen.x) + 0.01f,
+                p.v[0].screen.y +
+                    0.9f * (p.v[1].screen.y - p.v[0].screen.y)};
+        }
+        if (iter % 7 == 0) {
+            for (int i = 0; i < 3; ++i)
+                p.v[i].screen = Vec2f{
+                    std::floor(p.v[i].screen.x) + 0.5f,
+                    std::floor(p.v[i].screen.y) + 0.5f};
+        }
+        for (const Coord2 &tc : tiles)
+            rasterize(p, tc);
+    }
+
+    // Zero area: a repeated vertex, and three collinear vertices.
+    Primitive degen = randomTri(rng, 0.0f, 64.0f);
+    degen.v[1] = degen.v[0];
+    EXPECT_EQ(rasterize(degen, {0, 0}), 0u);
+    Primitive collinear = randomTri(rng, 0.0f, 64.0f);
+    collinear.v[1].screen = Vec2f{collinear.v[0].screen.x + 8.0f,
+                                  collinear.v[0].screen.y + 4.0f};
+    collinear.v[2].screen = Vec2f{collinear.v[0].screen.x + 16.0f,
+                                  collinear.v[0].screen.y + 8.0f};
+    EXPECT_EQ(rasterize(collinear, {0, 0}), 0u);
+
+    EXPECT_EQ(quads, 30119u);
+    EXPECT_EQ(digest.value(), 0xcbad94a0cdef493eull);
 }
 
 TEST(Quad, LodFromDerivatives)

@@ -11,6 +11,7 @@
 #include <set>
 #include <tuple>
 
+#include "common/serial.hh"
 #include "sfc/hilbert.hh"
 #include "sfc/morton.hh"
 #include "sfc/tile_order.hh"
@@ -155,6 +156,30 @@ TEST(TileOrders, ZOrderSquare)
     EXPECT_EQ(t4[2], 4u);
     EXPECT_EQ(t4[3], 5u);
     EXPECT_EQ(t4[4], 2u);
+}
+
+/**
+ * The exact Z-order traversal, pinned as one FNV-1a digest over grids
+ * that exercise the power-of-two enclosing square's filter: 1x1, single
+ * rows and columns, odd and non-square sides, and the Table II screen
+ * (62x24) next to its neighbour 61x24.
+ */
+TEST(TileOrders, ZOrderDigestIsPinned)
+{
+    const struct
+    {
+        std::uint32_t x, y;
+    } grids[] = {{1, 1}, {2, 3}, {8, 8}, {13, 7}, {61, 24}, {5, 1},
+                 {1, 9}, {62, 24}};
+    Fnv1a64 digest;
+    for (const auto &g : grids) {
+        const std::vector<TileId> order =
+            makeTileOrder(TileOrder::ZOrder, g.x, g.y);
+        digest.u64(order.size());
+        for (TileId id : order)
+            digest.u32(id);
+    }
+    EXPECT_EQ(digest.value(), 0x8df571502af3d153ull);
 }
 
 TEST(TileOrders, SOrderIsFullyAdjacent)
