@@ -49,7 +49,7 @@ BenchOptions::parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (common.tryParse(arg)) {
-            // Shared flag (--jobs, --simd, --trace, --stats-json,
+            // Shared flag (--jobs, --trace, --stats-json,
             // --timeline-csv, the cache and ledger flags); copied
             // below.
         } else if (arg == "--full") {

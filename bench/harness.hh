@@ -40,7 +40,7 @@ struct BenchOptions
     std::string tracePath;
     /**
      * The shared flags as parsed; baseline()/dtexl()/upperBound()
-     * apply the run-level ones (cache, --simd, ledger) to each config.
+     * apply the run-level ones (cache, ledger) to each config.
      */
     CommonCliOptions common;
 

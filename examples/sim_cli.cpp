@@ -11,7 +11,7 @@
  *           [--jobs=N] [--trace=trace.json] [--stats]
  *           [--stats-json=stats.json] [--timeline-csv=timeline.csv]
  *           [--save-scene=file.dscene] [--preset=baseline|dtexl]
- *           [--simd=auto|scalar] [--cache-dir=DIR] [--cache=MODE]
+ *           [--cache-dir=DIR] [--cache=MODE]
  *           [--checkpoint-every=N] [--resume]
  *           [--events=events.jsonl] [--progress] [--version]
  *           [key=value ...]
@@ -84,7 +84,7 @@ simCliMain(int argc, char **argv)
             return arg.substr(std::string(prefix).size());
         };
         if (common.tryParse(arg)) {
-            // Shared flag (--jobs, --simd, --trace, --stats-json,
+            // Shared flag (--jobs, --trace, --stats-json,
             // --timeline-csv, the cache and ledger flags).
         } else if (arg.rfind("--bench=", 0) == 0) {
             bench_list = value_of("--bench=");

@@ -16,13 +16,6 @@ Runs sim_cli on a set of figure benchmarks and records, per benchmark:
     ledger must terminate in run_end and must not change any simulated
     statistic.
 
-Before the simulator benches it runs bench/micro_simd — the SIMD lane
-kernels against their scalar twins — and fails if the geometric mean
-of the lanes/scalar speedups drops below --min-simd-speedup (1.3x).
-The report records the pairs and the dispatched ISA ("simd <isa>"
-from sim_cli --version), so committed numbers say which lane
-implementation (sse2/avx2/neon/scalar) they measured.
-
 The report also embeds host metadata (CPU model, logical and physical
 core counts, compiler) so committed BENCH_perf.json numbers carry
 their provenance, and --baseline FILE arms a regression gate: the run
@@ -55,17 +48,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-# Lane-kernel micro-benchmark pairs (bench/micro_simd.cc): each lane
-# path against its scalar twin. The checksum pair compares the striped
-# 4-chain digest against the SERIAL digest it replaced: the striping
-# is the parallel formulation (the chains run as unrolled scalar code
-# on purpose — a 64-bit lane loop measured slower on every backend).
-SIMD_PAIRS = [
-    ("BM_Rasterize/scalar", "BM_Rasterize/lanes"),
-    ("BM_TileOrder/zorder_scalar", "BM_TileOrder/zorder_lanes"),
-    ("BM_ChecksumSerial", "BM_ChecksumStriped"),
-]
 
 SUMMARY_RE = re.compile(
     r"^(?P<label>\S+) summary: (?P<frames>\d+) frame\(s\), "
@@ -275,54 +257,6 @@ def events_overhead(sim_cli, alias, frames, width, height, repeat,
     return best
 
 
-def dispatched_isa(sim_cli):
-    """The SIMD backend the build dispatches to ("simd <isa>" in
-    sim_cli --version); recorded so committed numbers say which lane
-    implementation they measured."""
-    out = subprocess.run([str(sim_cli), "--version"],
-                         capture_output=True, text=True, check=True)
-    m = re.search(r"\bsimd (\w+)", out.stdout)
-    if not m:
-        sys.exit(f"no 'simd <isa>' in {sim_cli} --version output:\n"
-                 f"{out.stdout}")
-    return m.group(1)
-
-
-def micro_simd_report(build_dir, min_speedup):
-    """Run bench/micro_simd and gate the lane kernels.
-
-    Returns {"pairs": [...], "geomean_speedup": g}; fails the run if
-    the geometric mean of the lanes/scalar speedups over SIMD_PAIRS
-    drops below min_speedup.
-    """
-    micro = Path(build_dir) / "bench" / "micro_simd"
-    if not micro.exists():
-        sys.exit(f"{micro} not found; build the repo first")
-    out = subprocess.run(
-        [str(micro), "--benchmark_min_time=0.2",
-         "--benchmark_format=json"],
-        capture_output=True, text=True, check=True)
-    times = {b["name"]: float(b["cpu_time"])
-             for b in json.loads(out.stdout)["benchmarks"]}
-    pairs = []
-    for scalar, lanes in SIMD_PAIRS:
-        if scalar not in times or lanes not in times:
-            sys.exit(f"micro_simd output lacks pair {scalar} / {lanes}")
-        pairs.append({
-            "scalar": scalar,
-            "lanes": lanes,
-            "speedup": times[scalar] / times[lanes],
-        })
-    g = geomean([p["speedup"] for p in pairs])
-    for p in pairs:
-        print(f"   {p['lanes']:40s} {p['speedup']:5.2f}x", flush=True)
-    print(f"   geomean {g:.2f}x (floor {min_speedup:.2f}x)", flush=True)
-    if g < min_speedup:
-        sys.exit(f"ERROR: micro_simd lanes/scalar geomean {g:.2f}x is "
-                 f"below the {min_speedup:.2f}x floor")
-    return {"pairs": pairs, "geomean_speedup": g}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--build-dir", default="build")
@@ -340,9 +274,6 @@ def main():
     ap.add_argument("--max-regression", type=float, default=0.15,
                     help="fail if geomean Mcycles/s drops more than "
                          "this fraction below --baseline")
-    ap.add_argument("--min-simd-speedup", type=float, default=1.3,
-                    help="fail if the micro_simd lanes/scalar geomean "
-                         "speedup drops below this ratio")
     args = ap.parse_args()
 
     # Read the baseline before any run (and before --out, which may be
@@ -358,11 +289,6 @@ def main():
     cache = build / "CMakeCache.txt"
     if cache.exists() and "CMAKE_BUILD_TYPE:STRING=Debug" in cache.read_text():
         sys.exit("refusing to benchmark a Debug build tree")
-
-    isa = dispatched_isa(sim_cli)
-    print(f"== micro_simd lane kernels (simd {isa}) ==", flush=True)
-    simd = micro_simd_report(args.build_dir, args.min_simd_speedup)
-    simd["isa"] = isa
 
     benches = []
     for alias in args.benches.split(","):
@@ -412,7 +338,6 @@ def main():
             "repeat": args.repeat,
             "jobs": 1,
         },
-        "simd": simd,
         "benches": benches,
         "geomean_mcycles_per_s_fast": geomean(
             [b["mcycles_per_s_fast"] for b in benches]

@@ -78,10 +78,9 @@ REQUIRED = {
 JOB_SCOPED = EVENTS - {"run_start", "run_end"}
 
 # Stripped by --canon: host-execution artifacts that legitimately vary
-# between runs of the same sweep. "simd" is stripped for the same
-# reason it is excluded from the result-cache config digest: the lane
-# kernels are bit-exact, so --simd=auto and --simd=scalar ledgers of
-# one sweep must canon-compare equal.
+# between runs of the same sweep. "simd" (the host SIMD mode, which
+# run_start no longer records) stays listed so that ledgers written
+# while it existed still canon-compare equal to current ones.
 VOLATILE = {"seq", "ts_ms", "t_ms", "wall_ms", "worker"}
 VOLATILE_RUN_START = {"args", "pid", "host", "nproc", "simd"}
 
@@ -188,7 +187,8 @@ def summarize(path, events, top):
     if run_start:
         print(f"  build  {run_start.get('build')}   "
               f"config {run_start.get('config')}")
-        print(f"  simd   {run_start.get('simd', '?')}")
+        if "simd" in run_start:
+            print(f"  simd   {run_start['simd']}")
         print(f"  args   {run_start.get('args')}")
 
     jobs = {}  # label -> dict

@@ -4,7 +4,6 @@
 
 #include "common/config.hh"
 #include "common/serial.hh"
-#include "common/simd.hh"
 #include "geom/scene.hh"
 
 namespace dtexl {
@@ -77,7 +76,7 @@ hashConfig(const GpuConfig &cfg)
     h.u32(143); h.u32(cfg.dram.rowMissLatency);
     h.u32(144); h.u32(cfg.dram.bytesPerCycle);
     // Excluded host-execution knobs (see result_key.hh): geomThreads,
-    // rasterThreads, simdMode, watchdogCycles.
+    // rasterThreads, watchdogCycles.
     return h.value();
 }
 
@@ -141,14 +140,14 @@ buildVersionString()
     char line[256];
     std::snprintf(line, sizeof(line),
                   "dtexl result-format v%u, compiler %s, built %s, "
-                  "simd %s, fingerprint %016llx",
+                  "fingerprint %016llx",
                   kResultFormatVersion,
 #ifdef __VERSION__
                   __VERSION__,
 #else
                   "unknown",
 #endif
-                  __DATE__ " " __TIME__, simdBackendName(),
+                  __DATE__ " " __TIME__,
                   static_cast<unsigned long long>(buildFingerprint()));
     return line;
 }

@@ -49,7 +49,6 @@ struct ResultKey
  * shared across them:
  *
  *   geomThreads, rasterThreads (inert; validate() pins both to 1),
- *   simdMode (tests/test_simd.cc),
  *   watchdogCycles (a hang guard; never changes a completed result).
  *
  * Adding a field to GpuConfig must update this function;

@@ -227,38 +227,6 @@ subtileAssignmentFromString(const std::string &name)
 }
 
 std::string
-toString(SimdMode m)
-{
-    switch (m) {
-      case SimdMode::Auto:   return "auto";
-      case SimdMode::Scalar: return "scalar";
-    }
-    panic("unknown SimdMode %d", static_cast<int>(m));
-}
-
-SimdMode
-simdModeFromString(const std::string &name)
-{
-    if (name == "auto")
-        return SimdMode::Auto;
-    if (name == "scalar")
-        return SimdMode::Scalar;
-    fatal("unknown simd mode '%s' (auto|scalar)", name.c_str());
-}
-
-SimdMode
-defaultSimdMode()
-{
-    static const SimdMode mode = [] {
-        const char *env = std::getenv("DTEXL_SIMD");
-        if (!env || !*env)
-            return SimdMode::Auto;
-        return simdModeFromString(env);
-    }();
-    return mode;
-}
-
-std::string
 toString(WarpSched w)
 {
     switch (w) {
@@ -368,8 +336,6 @@ applyConfigOption(GpuConfig &cfg, const std::string &key,
         cfg.l2Cache.sizeBytes = parseUint(key, value, 1024);
     } else if (key == "telemetry") {
         cfg.telemetryLevel = parseUint(key, value);
-    } else if (key == "simd") {
-        cfg.simdMode = simdModeFromString(value);
     } else if (key == "watchdog_cycles") {
         cfg.watchdogCycles = parseU64(key, value);  // 0 disables
     } else {

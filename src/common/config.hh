@@ -115,18 +115,8 @@ struct GpuConfig
     std::uint32_t geomThreads = 1;
     std::uint32_t rasterThreads = 1;
 
-    /**
-     * Host SIMD dispatch for the vectorized raster/texture kernels
-     * (simulator infrastructure, not modelled hardware; see
-     * common/simd.hh and the SimdMode enum). Auto — the default, or
-     * whatever the DTEXL_SIMD environment variable selects — runs the
-     * lane implementations; Scalar runs the original serial code.
-     * FrameStats, image hashes and every registry counter are
-     * bit-identical either way (tests/test_simd.cc), so this is
-     * excluded from the result-cache config digest. Set with the
-     * `simd` key or `--simd=auto|scalar` on the CLIs.
-     */
-    SimdMode simdMode = defaultSimdMode();
+    /** Not a knob: see InertSimdMode. Adds nothing to sizeof. */
+    static constexpr InertSimdMode simdMode{};
 
     /**
      * Forward-progress watchdog budget in simulated cycles (simulator
@@ -186,7 +176,7 @@ GpuConfig makeUpperBoundConfig();
  * Apply a textual "key=value" option to a configuration (the CLI
  * driver's interface). Supported keys: grouping, order, assignment,
  * decoupled, hiz, prefetch, te, warp_sched, warps, fifo, width,
- * height, tile, l1tex_kib, l2_kib, telemetry, simd, watchdog_cycles.
+ * height, tile, l1tex_kib, l2_kib, telemetry, watchdog_cycles.
  * Numeric values must be non-negative decimals that fit 32 bits (64
  * for watchdog_cycles; *_kib also in bytes). Throws SimError{UserInput}
  * naming the key on unknown keys or bad values.

@@ -104,31 +104,14 @@ enum class WarpSched
 std::string toString(WarpSched w);
 
 /**
- * Host SIMD dispatch for the vectorized raster/texture kernels
- * (simulator infrastructure, not modelled hardware): Auto runs the
- * lane implementations (common/simd.hh) on the backend compiled into
- * the build, Scalar runs the original serial code. Results are
- * bit-identical either way (tests/test_simd.cc); the knob exists for
- * A/B validation and for measuring the kernel speedups.
+ * Storage-free stand-in for the retired host SIMD knob: nothing sets,
+ * parses or hashes it. The benchmark driver still passes
+ * GpuConfig::simdMode to makeTileOrder(), so both go with the inert
+ * geomThreads/rasterThreads members when the benchmark drops them
+ * (ROADMAP item 1).
  */
-enum class SimdMode : std::uint8_t
-{
-    Auto,    ///< lane kernels on the compiled backend (default)
-    Scalar,  ///< original serial kernels
-};
-
-std::string toString(SimdMode m);
-
-/** Inverse of toString; fatal() on an unknown name. */
-SimdMode simdModeFromString(const std::string &name);
-
-/**
- * Process-wide default for GpuConfig::simdMode: SimdMode::Auto unless
- * the DTEXL_SIMD environment variable says "scalar" (the CI scalar leg
- * runs the whole test suite that way without touching each test).
- * Read once; fatal() on an unrecognized value.
- */
-SimdMode defaultSimdMode();
+struct InertSimdMode
+{};
 
 /** Inverse of toString; fatal() on an unknown name. */
 SubtileAssignment subtileAssignmentFromString(const std::string &name);

@@ -194,8 +194,7 @@ fnv1a64(const std::vector<std::uint8_t> &v)
  * chain, and the four stream digests plus the length are folded into
  * one value with plain FNV-1a. Striping exists to break the serial
  * digest's one multiply-latency-bound dependency chain into four that
- * the host pipelines in parallel (~3.7x on the SSE2 reference host,
- * bench/micro_simd.cc BM_ChecksumSerial vs BM_ChecksumStriped); the
+ * the host pipelines in parallel (~3.7x on an x86-64 SSE2 host); the
  * digest itself is a frozen pure function of the bytes. NOT
  * interchangeable with fnv1a64(): switching a format's checksum
  * requires a kResultFormatVersion bump.

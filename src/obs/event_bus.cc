@@ -254,8 +254,7 @@ EventBus::setInvocation(std::string args)
 
 void
 EventBus::emitRunStart(std::uint64_t configDigest,
-                       std::uint64_t buildFingerprint,
-                       const std::string &simd)
+                       std::uint64_t buildFingerprint)
 {
     Impl &im = impl();
     std::string args;
@@ -275,7 +274,6 @@ EventBus::emitRunStart(std::uint64_t configDigest,
     ev.str("args", args)
         .str("config", hex[0])
         .str("build", hex[1])
-        .str("simd", simd)
         .u64("pid", static_cast<std::uint64_t>(::getpid()))
         .u64("nproc", static_cast<std::uint64_t>(::get_nprocs()));
     const char *host = std::getenv("HOSTNAME");

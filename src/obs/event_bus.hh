@@ -75,14 +75,10 @@ class EventBus
      * Emit run_start exactly once per process (first call wins; the
      * bench harness applies CLI knobs once per config variant). The
      * digests come from the caller so obs never depends on the cache
-     * layer that computes them. @p simd is the resolved host SIMD
-     * dispatch mode ("auto"/"scalar") — recorded explicitly because
-     * the config digest excludes host-execution knobs, so it cannot
-     * be recovered from the digest (run_report.py prints it).
+     * layer that computes them.
      */
     void emitRunStart(std::uint64_t configDigest,
-                      std::uint64_t buildFingerprint,
-                      const std::string &simd);
+                      std::uint64_t buildFingerprint);
 
     /**
      * Write one event (ledger line, tap, progress meter) before

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "common/simd.hh"
 
 namespace dtexl {
 
@@ -65,75 +64,27 @@ struct Tri
         const bool i2 = e2 > 0.0f || (e2 == 0.0f && topLeft(p[2], p[0]));
         return i0 && i1 && i2;
     }
-
-    Fragment
-    interpolate(const Vec2f &c) const
-    {
-        const float inv = 1.0f / area2;
-        const float w0 = edge(p[1], p[2], c) * inv;
-        const float w1 = edge(p[2], p[0], c) * inv;
-        const float w2 = 1.0f - w0 - w1;
-        Fragment f;
-        f.depth = w0 * z[0] + w1 * z[1] + w2 * z[2];
-        f.uv.x = w0 * uv[0].x + w1 * uv[1].x + w2 * uv[2].x;
-        f.uv.y = w0 * uv[0].y + w1 * uv[1].y + w2 * uv[2].y;
-        return f;
-    }
-
-    /**
-     * Coverage and interpolation from one set of edge evaluations.
-     * interpolate()'s weights are e1 * inv and e2 * inv with the same
-     * e1/e2 covers() computes, so sharing them is bit-exact with
-     * calling covers() and interpolate() separately — which the inner
-     * rasterization loop used to do, evaluating each edge twice per
-     * fragment.
-     */
-    Fragment
-    eval(const Vec2f &c, bool &covered) const
-    {
-        const float e0 = edge(p[0], p[1], c);
-        const float e1 = edge(p[1], p[2], c);
-        const float e2 = edge(p[2], p[0], c);
-        const bool i0 = e0 > 0.0f || (e0 == 0.0f && topLeft(p[0], p[1]));
-        const bool i1 = e1 > 0.0f || (e1 == 0.0f && topLeft(p[1], p[2]));
-        const bool i2 = e2 > 0.0f || (e2 == 0.0f && topLeft(p[2], p[0]));
-        covered = i0 && i1 && i2;
-        const float inv = 1.0f / area2;
-        const float w0 = e1 * inv;
-        const float w1 = e2 * inv;
-        const float w2 = 1.0f - w0 - w1;
-        Fragment f;
-        f.depth = w0 * z[0] + w1 * z[1] + w2 * z[2];
-        f.uv.x = w0 * uv[0].x + w1 * uv[1].x + w2 * uv[2].x;
-        f.uv.y = w0 * uv[0].y + w1 * uv[1].y + w2 * uv[2].y;
-        return f;
-    }
 };
 
 /**
- * Lane-parallel twin of Tri::eval(): all four sample points of a quad
- * — or all eight of two row-adjacent quads — in one lane op per edge.
- *
- * Bit-exactness contract (tests/test_simd.cc RasterizerMatchesScalar):
- * every lane evaluates exactly the scalar expression tree. The edge
- * deltas (b.x - a.x etc.) are hoisted out of the loop, but they are
- * pure functions of the triangle, so hoisting changes nothing; sample
- * coordinates step across the tile in the *integer* domain (lane int
- * adds are exact, and int->float conversion is the same
- * round-to-nearest static_cast the scalar code performs) — stepping
- * the float edge values incrementally instead would accumulate
- * rounding and break the contract.
+ * The triangle set up once for the quad loop: per edge its origin
+ * vertex a, the b - a deltas and the top-left flag, plus one 1/area2.
+ * eval() computes exactly Tri::covers()'s edge expression tree,
+ * (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x), and
+ * interpolates with the weights e1 * inv, e2 * inv and 1 - w0 - w1.
+ * Every hoisted value is a pure function of the triangle, so hoisting
+ * it changes no output bit (tests/test_raster.cc QuadDigestIsPinned).
  */
-struct TriLanes
+struct TriSetup
 {
     float ax[3], ay[3];      ///< edge origin (vertex a) per edge
     float dx[3], dy[3];      ///< b - a per edge
     bool tl[3];              ///< top-left rule per edge
     float inv;               ///< 1 / area2
     float z[3];
-    float ux[3], uy[3];
+    Vec2f uv[3];
 
-    explicit TriLanes(const Tri &t)
+    explicit TriSetup(const Tri &t)
     {
         for (int e = 0; e < 3; ++e) {
             const Vec2f &a = t.p[e];
@@ -144,96 +95,35 @@ struct TriLanes
             dy[e] = b.y - a.y;
             tl[e] = topLeft(a, b);
             z[e] = t.z[e];
-            ux[e] = t.uv[e].x;
-            uy[e] = t.uv[e].y;
+            uv[e] = t.uv[e];
         }
         inv = 1.0f / t.area2;
     }
+
+    /**
+     * Coverage and interpolated attributes of the sample at (cx, cy),
+     * from one evaluation of each edge function.
+     */
+    Fragment
+    eval(float cx, float cy, bool &covered) const
+    {
+        float e[3];
+        covered = true;
+        for (int k = 0; k < 3; ++k) {
+            e[k] = dx[k] * (cy - ay[k]) - dy[k] * (cx - ax[k]);
+            covered = covered &&
+                      (e[k] > 0.0f || (e[k] == 0.0f && tl[k]));
+        }
+        const float w0 = e[1] * inv;
+        const float w1 = e[2] * inv;
+        const float w2 = 1.0f - w0 - w1;
+        Fragment f;
+        f.depth = w0 * z[0] + w1 * z[1] + w2 * z[2];
+        f.uv.x = w0 * uv[0].x + w1 * uv[1].x + w2 * uv[2].x;
+        f.uv.y = w0 * uv[0].y + w1 * uv[1].y + w2 * uv[2].y;
+        return f;
+    }
 };
-
-/**
- * Evaluate two row-adjacent quads (lanes 0-3 = quad at qx, lanes 4-7 =
- * quad at qx+2). Returns the 8-bit coverage (bit k = lane k); fragment
- * attributes for all eight lanes land in depth/uvx/uvy.
- */
-inline int
-evalQuadPair(const TriLanes &t, std::int32_t qx, std::int32_t qy,
-             std::int32_t width, std::int32_t height, float depth[8],
-             float uvx[8], float uvy[8])
-{
-    const I32x8 px = splatI8(qx) + makeI8(0, 1, 0, 1, 2, 3, 2, 3);
-    const I32x8 py = splatI8(qy) + makeI8(0, 0, 1, 1, 0, 0, 1, 1);
-    const F32x8 half = splatF8(0.5f);
-    const F32x8 cx = toF8(px) + half;
-    const F32x8 cy = toF8(py) + half;
-    const F32x8 zero = splatF8(0.0f);
-
-    F32x8 e[3];
-    M32x8 inside = maskSplat8(true);
-    for (int k = 0; k < 3; ++k) {
-        e[k] = splatF8(t.dx[k]) * (cy - splatF8(t.ay[k])) -
-               splatF8(t.dy[k]) * (cx - splatF8(t.ax[k]));
-        const M32x8 in =
-            orM8(cmpGtF8(e[k], zero),
-                 andM8(cmpEqF8(e[k], zero), maskSplat8(t.tl[k])));
-        inside = andM8(inside, in);
-    }
-    const M32x8 on_screen = andM8(cmpLtI8(px, splatI8(width)),
-                                  cmpLtI8(py, splatI8(height)));
-    const int cover = moveMask8(andM8(inside, on_screen));
-
-    const F32x8 inv = splatF8(t.inv);
-    const F32x8 w0 = e[1] * inv;
-    const F32x8 w1 = e[2] * inv;
-    const F32x8 w2 = splatF8(1.0f) - w0 - w1;
-    storeF8(depth, w0 * splatF8(t.z[0]) + w1 * splatF8(t.z[1]) +
-                       w2 * splatF8(t.z[2]));
-    storeF8(uvx, w0 * splatF8(t.ux[0]) + w1 * splatF8(t.ux[1]) +
-                     w2 * splatF8(t.ux[2]));
-    storeF8(uvy, w0 * splatF8(t.uy[0]) + w1 * splatF8(t.uy[1]) +
-                     w2 * splatF8(t.uy[2]));
-    return cover;
-}
-
-/** 4-wide variant for a lone row-end quad. */
-inline int
-evalQuadSingle(const TriLanes &t, std::int32_t qx, std::int32_t qy,
-               std::int32_t width, std::int32_t height, float depth[4],
-               float uvx[4], float uvy[4])
-{
-    const I32x4 px = splatI4(qx) + makeI4(0, 1, 0, 1);
-    const I32x4 py = splatI4(qy) + makeI4(0, 0, 1, 1);
-    const F32x4 half = splatF4(0.5f);
-    const F32x4 cx = toF4(px) + half;
-    const F32x4 cy = toF4(py) + half;
-    const F32x4 zero = splatF4(0.0f);
-
-    F32x4 e[3];
-    M32x4 inside = maskSplat4(true);
-    for (int k = 0; k < 3; ++k) {
-        e[k] = splatF4(t.dx[k]) * (cy - splatF4(t.ay[k])) -
-               splatF4(t.dy[k]) * (cx - splatF4(t.ax[k]));
-        const M32x4 in =
-            orM4(cmpGtF4(e[k], zero),
-                 andM4(cmpEqF4(e[k], zero), maskSplat4(t.tl[k])));
-        inside = andM4(inside, in);
-    }
-    const M32x4 on_screen = andM4(cmpLtI4(px, splatI4(width)),
-                                  cmpLtI4(py, splatI4(height)));
-    const int cover = moveMask4(andM4(inside, on_screen));
-
-    const F32x4 inv = splatF4(t.inv);
-    const F32x4 w0 = e[1] * inv;
-    const F32x4 w1 = e[2] * inv;
-    const F32x4 w2 = splatF4(1.0f) - w0 - w1;
-    storeF4(depth, w0 * splatF4(t.z[0]) + w1 * splatF4(t.z[1]) +
-                       w2 * splatF4(t.z[2]));
-    storeF4(uvx, w0 * splatF4(t.ux[0]) + w1 * splatF4(t.ux[1]) +
-                     w2 * splatF4(t.ux[2]));
-    storeF4(uvy, w0 * splatF4(t.uy[0]) + w1 * splatF4(t.uy[1]) +
-                     w2 * splatF4(t.uy[2]));
-    return cover;
-}
 
 } // namespace
 
@@ -287,46 +177,10 @@ rasterizeTo(const GpuConfig &cfg, const Primitive &prim,
     x0 &= ~1;  // align down to quad boundary
     y0 &= ~1;
 
+    const TriSetup setup(tri);
+    const auto width = static_cast<std::int32_t>(cfg.screenWidth);
+    const auto height = static_cast<std::int32_t>(cfg.screenHeight);
     std::size_t emitted = 0;
-    if (cfg.simdMode == SimdMode::Auto) {
-        // Lane path: a row pair of quads (8 sample points) per step,
-        // a lone 4-wide quad at odd row ends. Emission order and all
-        // emitted bits match the scalar loop exactly.
-        const TriLanes tl(tri);
-        const auto width = static_cast<std::int32_t>(cfg.screenWidth);
-        const auto height = static_cast<std::int32_t>(cfg.screenHeight);
-        float depth[8], uvx[8], uvy[8];
-        std::array<Fragment, 4> frags;
-        const auto emit_lanes = [&](std::int32_t qx, std::int32_t qy,
-                                    int cover, unsigned lane0) {
-            if (cover == 0)
-                return;
-            for (unsigned k = 0; k < 4; ++k) {
-                frags[k].depth = depth[lane0 + k];
-                frags[k].uv = Vec2f{uvx[lane0 + k], uvy[lane0 + k]};
-            }
-            emit(Coord2{(qx - tile_px) / 2, (qy - tile_py) / 2},
-                 static_cast<std::uint8_t>(cover), frags);
-            ++emitted;
-        };
-        for (std::int32_t qy = y0; qy < y1; qy += 2) {
-            std::int32_t qx = x0;
-            for (; qx + 2 < x1; qx += 4) {
-                const int cover = evalQuadPair(tl, qx, qy, width,
-                                               height, depth, uvx, uvy);
-                emit_lanes(qx, qy, cover & 0xF, 0);
-                emit_lanes(qx + 2, qy, (cover >> 4) & 0xF, 4);
-            }
-            for (; qx < x1; qx += 2) {
-                const int cover = evalQuadSingle(tl, qx, qy, width,
-                                                 height, depth, uvx,
-                                                 uvy);
-                emit_lanes(qx, qy, cover, 0);
-            }
-        }
-        return emitted;
-    }
-
     for (std::int32_t qy = y0; qy < y1; qy += 2) {
         for (std::int32_t qx = x0; qx < x1; qx += 2) {
             std::array<Fragment, 4> frags;
@@ -336,17 +190,14 @@ rasterizeTo(const GpuConfig &cfg, const Primitive &prim,
                                                  k % 2);
                 const std::int32_t py = qy + static_cast<std::int32_t>(
                                                  k / 2);
-                const Vec2f c{static_cast<float>(px) + 0.5f,
-                              static_cast<float>(py) + 0.5f};
                 // Attributes are interpolated for all four fragments
                 // (helper pixels); coverage only for true hits inside
                 // the screen.
                 bool covered = false;
-                frags[k] = tri.eval(c, covered);
-                const bool on_screen =
-                    px < static_cast<std::int32_t>(cfg.screenWidth) &&
-                    py < static_cast<std::int32_t>(cfg.screenHeight);
-                if (on_screen && covered)
+                frags[k] = setup.eval(static_cast<float>(px) + 0.5f,
+                                      static_cast<float>(py) + 0.5f,
+                                      covered);
+                if (covered && px < width && py < height)
                     coverage |= static_cast<std::uint8_t>(1u << k);
             }
             if (coverage != 0) {

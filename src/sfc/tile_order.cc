@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/simd.hh"
 #include "sfc/hilbert.hh"
 #include "sfc/morton.hh"
-#include "sfc/morton_lanes.hh"
 
 namespace dtexl {
 
@@ -46,7 +44,7 @@ sOrder(std::uint32_t tx, std::uint32_t ty)
  * conventional way GPUs walk non-square grids in Morton order.
  */
 std::vector<TileId>
-zOrder(std::uint32_t tx, std::uint32_t ty, SimdMode simd)
+zOrder(std::uint32_t tx, std::uint32_t ty)
 {
     std::uint32_t side = 1;
     while (side < tx || side < ty)
@@ -54,23 +52,7 @@ zOrder(std::uint32_t tx, std::uint32_t ty, SimdMode simd)
     std::vector<TileId> out;
     out.reserve(std::size_t{tx} * ty);
     const std::uint64_t total = std::uint64_t{side} * side;
-    std::uint64_t code = 0;
-    if (simd == SimdMode::Auto) {
-        // Decode four consecutive codes per lane op; the in-grid
-        // filter and push stay scalar so the emission order is
-        // untouched.
-        for (; code + 4 <= total; code += 4) {
-            const U64x4 c =
-                makeU64x4(code, code + 1, code + 2, code + 3);
-            std::uint32_t xs[4], ys[4];
-            storeU4(xs, mortonDecodeX4(c));
-            storeU4(ys, mortonDecodeY4(c));
-            for (int j = 0; j < 4; ++j)
-                if (xs[j] < tx && ys[j] < ty)
-                    out.push_back(ys[j] * tx + xs[j]);
-        }
-    }
-    for (; code < total; ++code) {
+    for (std::uint64_t code = 0; code < total; ++code) {
         std::uint32_t x = mortonDecodeX(code);
         std::uint32_t y = mortonDecodeY(code);
         if (x < tx && y < ty)
@@ -124,7 +106,7 @@ rectHilbertOrder(std::uint32_t tx, std::uint32_t ty)
 
 std::vector<TileId>
 makeTileOrder(TileOrder order, std::uint32_t tiles_x, std::uint32_t tiles_y,
-              SimdMode simd)
+              InertSimdMode)
 {
     dtexl_assert(tiles_x > 0 && tiles_y > 0);
     switch (order) {
@@ -133,7 +115,7 @@ makeTileOrder(TileOrder order, std::uint32_t tiles_x, std::uint32_t tiles_y,
       case TileOrder::SOrder:
         return sOrder(tiles_x, tiles_y);
       case TileOrder::ZOrder:
-        return zOrder(tiles_x, tiles_y, simd);
+        return zOrder(tiles_x, tiles_y);
       case TileOrder::RectHilbert:
         return rectHilbertOrder(tiles_x, tiles_y);
     }

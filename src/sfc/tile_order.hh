@@ -20,17 +20,15 @@ namespace dtexl {
 
 /**
  * Build the traversal for the given order over a tilesX x tilesY grid.
+ * The unnamed trailing parameter is ignored; it exists only for the
+ * benchmark driver's call (see InertSimdMode).
  *
- * @param simd Auto decodes the Z-order curve four cells per lane op
- *             (common/simd.hh); Scalar keeps the original per-cell
- *             loop. The traversal is bit-identical either way
- *             (tests/test_simd.cc).
  * @return Tile IDs (id = y * tilesX + x) in processing order; every tile
  *         appears exactly once.
  */
 std::vector<TileId> makeTileOrder(TileOrder order, std::uint32_t tiles_x,
                                   std::uint32_t tiles_y,
-                                  SimdMode simd = SimdMode::Auto);
+                                  InertSimdMode = {});
 
 /** Grid coordinates of a tile ID. */
 inline Coord2

@@ -27,12 +27,6 @@ CommonCliOptions::tryParse(const std::string &arg)
         jobs = static_cast<unsigned>(n);
         return true;
     }
-    if (arg.rfind("--simd=", 0) == 0) {
-        // simdModeFromString() rejects junk with the legal values.
-        simdMode = static_cast<std::uint32_t>(
-            simdModeFromString(arg.substr(7)));
-        return true;
-    }
     if (arg.rfind("--trace=", 0) == 0) {
         tracePath = arg.substr(8);
         if (tracePath.empty())
@@ -190,7 +184,7 @@ CommonCliOptions::noteInvocation(int argc, char *const *argv)
 }
 
 void
-CommonCliOptions::applyRunOptions(GpuConfig &cfg) const
+CommonCliOptions::applyRunOptions(const GpuConfig &cfg) const
 {
     // Arm the result cache here, not at parse time: --cache may appear
     // before --cache-dir on the command line. configure() validates
@@ -214,20 +208,13 @@ CommonCliOptions::applyRunOptions(GpuConfig &cfg) const
                static_cast<unsigned long long>(gc.bytes));
     }
 
-    // Resolve --simd before the ledger opens so run_start records the
-    // dispatch mode the run actually uses (the config digest excludes
-    // it, like every host-execution knob).
-    if (simdMode != kSimdUnset)
-        cfg.simdMode = static_cast<SimdMode>(simdMode);
-
     // Open the ledger: run_start carries the config digest, which
     // deliberately excludes the host-execution knobs, so the same
-    // sweep hashes identically for any --jobs/--simd. First call wins
+    // sweep hashes identically for any --jobs. First call wins
     // (the bench harness applies the options once per config variant).
     if (EventBus::armed())
         EventBus::global().emitRunStart(hashConfig(cfg),
-                                        buildFingerprint(),
-                                        toString(cfg.simdMode));
+                                        buildFingerprint());
 }
 
 const char *
@@ -241,11 +228,6 @@ CommonCliOptions::helpText()
         "                      (schema dtexl-stats-v1)\n"
         "  --timeline-csv=FILE write telemetry=2 per-tile counter rows "
         "as CSV\n"
-        "  --simd=MODE         auto (default: vectorized kernels on "
-        "the compiled\n"
-        "                      lane backend) or scalar (original "
-        "serial kernels);\n"
-        "                      results are bit-identical\n"
         "  --crash-dir=DIR     directory for watchdog crash reports "
         "(default .)\n"
         "  --cache-dir=DIR     root of the content-addressed result "

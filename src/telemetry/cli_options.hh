@@ -2,7 +2,7 @@
  * @file
  * Command-line options shared by every driver binary (the four
  * experiment binaries and sim_cli): worker count, trace output,
- * SIMD dispatch and the telemetry exporters. Each binary's arg
+ * the result cache, the run ledger and the telemetry exporters. Each binary's arg
  * loop offers unrecognized arguments to CommonCliOptions::tryParse()
  * first, so these flags are spelled, validated and wired identically
  * everywhere instead of five slightly different copies.
@@ -23,19 +23,8 @@ struct GpuConfig;
 /** Options common to every CLI; parse side effects arm the globals. */
 struct CommonCliOptions
 {
-    /** --simd value meaning "not given" (keep the config default). */
-    static constexpr std::uint32_t kSimdUnset = ~0u;
-
     /** Worker threads for the batch driver (--jobs=N, [1, 256]). */
     unsigned jobs = 1;
-    /**
-     * --simd=auto|scalar: host SIMD dispatch for the vectorized
-     * kernels (stored as a SimdMode value; kSimdUnset leaves
-     * GpuConfig::simdMode — the DTEXL_SIMD default or a simd
-     * key=value option — alone). Results are bit-identical either
-     * way; see GpuConfig::simdMode.
-     */
-    std::uint32_t simdMode = kSimdUnset;
     /** --trace=FILE: Chrome-trace JSON; enables TraceWriter. */
     std::string tracePath;
     /** --stats-json=FILE: flat StatRegistry dump (dtexl-stats-v1). */
@@ -97,14 +86,14 @@ struct CommonCliOptions
     /**
      * Apply the run-level options that must wait until every flag is
      * parsed, whatever their order on the command line: arm the global
-     * ResultCache from the recorded cache flags, run --cache-gc,
-     * resolve --simd into @p cfg and open the --events ledger (its
-     * run_start carries @p cfg's digest). Call after every other
+     * ResultCache from the recorded cache flags, run --cache-gc and
+     * open the --events ledger (its run_start carries @p cfg's
+     * digest). Call after every other
      * config option is applied, before cfg.validate(). Idempotent:
      * the bench harness calls it once per config variant, and the
      * first call opens the ledger.
      */
-    void applyRunOptions(GpuConfig &cfg) const;
+    void applyRunOptions(const GpuConfig &cfg) const;
 
     /** Help lines for the shared flags (one per line, indented). */
     static const char *helpText();

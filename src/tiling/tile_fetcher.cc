@@ -9,8 +9,7 @@ namespace dtexl {
 TileFetcher::TileFetcher(const GpuConfig &cfg, MemHierarchy &mem,
                          const ParamBuffer &pb)
     : cfg(cfg), mem(mem), pb(pb),
-      traversal(makeTileOrder(cfg.tileOrder, cfg.tilesX(), cfg.tilesY(),
-                              cfg.simdMode))
+      traversal(makeTileOrder(cfg.tileOrder, cfg.tilesX(), cfg.tilesY()))
 {}
 
 FetchedTile

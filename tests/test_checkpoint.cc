@@ -159,51 +159,6 @@ TEST(CheckpointTest, ResumeAtEveryFrameBoundaryIsBitExact)
     }
 }
 
-TEST(CheckpointTest, ResumeAcrossSimdModeChangeIsBitExact)
-{
-    // Host-execution knobs are excluded from the key (hashConfig()),
-    // so a checkpoint taken with the lane kernels must resume
-    // bit-identically on the scalar kernels, and the other way round.
-    const std::string dir = tempDir("ckpt_simd");
-    GpuConfig lanes_cfg = small(makeDTexLConfig());
-    lanes_cfg.simdMode = SimdMode::Auto;
-    GpuConfig scalar_cfg = lanes_cfg;
-    scalar_cfg.simdMode = SimdMode::Scalar;
-
-    const std::vector<Scene> scenes =
-        makeScenes("GTr", lanes_cfg, kFrames);
-    const ResultKey key = makeKey(scenes, lanes_cfg);
-    ASSERT_EQ(key.config, makeKey(scenes, scalar_cfg).config);
-
-    StatRegistry ref_reg("ref");
-    const std::vector<FrameStats> ref =
-        uninterruptedRun(lanes_cfg, scenes, "job.t", &ref_reg);
-
-    const std::pair<const GpuConfig *, const GpuConfig *> shapes[] = {
-        {&lanes_cfg, &scalar_cfg}, {&scalar_cfg, &lanes_cfg}};
-    for (const auto &[save_cfg, resume_cfg] : shapes) {
-        const std::string path = dir + "/ckpt-simd.bin";
-        {
-            StatRegistry reg("victim");
-            SimulationSession session(*save_cfg, scenes[0], "job.t");
-            session.setStatRegistry(&reg);
-            session.renderFrame();
-            session.renderFrame(scenes[1]);
-            session.saveCheckpoint(path, key);
-        }
-
-        StatRegistry reg("resumed");
-        SimulationSession session(*resume_cfg, scenes[0], "job.t");
-        session.setStatRegistry(&reg);
-        ASSERT_EQ(session.tryResumeCheckpoint(path, key), 2u);
-        for (std::uint32_t f = 2; f < kFrames; ++f)
-            session.renderFrame(scenes[f]);
-
-        expectSameHistory(ref, session.history(), "simd-mode resume");
-        expectSameRegistry(ref_reg, reg);
-    }
-}
-
 // ---- Failure paths -----------------------------------------------
 
 TEST(CheckpointTest, CorruptCheckpointRestartsFromScratchBitExact)

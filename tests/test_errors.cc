@@ -185,22 +185,28 @@ TEST(ConfigValidate, PerJobThreadKnobsAreRejected)
             },
             key);
     }
-    // The simulator-path selector is gone too: one implementation per
-    // behaviour, so neither its key nor its flag is accepted.
-    expectUserReject(
-        [] {
-            GpuConfig cfg;
-            applyConfigOption(cfg, "fastpath", "0");
-        },
-        "fastpath");
-    expectUserReject(
-        [] {
-            CommonCliOptions opts;
-            const std::string flag = "--reference-path";
-            if (!opts.tryParse(flag))
-                CommonCliOptions::rejectUnknown(flag);
-        },
-        "--reference-path");
+    // The simulator-path and host SIMD selectors are gone too: one
+    // implementation per behaviour, so neither their keys nor their
+    // flags are accepted.
+    const std::pair<const char *, const char *> retired[] = {
+        {"fastpath", "0"}, {"simd", "scalar"}};
+    for (const auto &[key, value] : retired) {
+        expectUserReject(
+            [&] {
+                GpuConfig cfg;
+                applyConfigOption(cfg, key, value);
+            },
+            key);
+    }
+    for (const std::string flag : {"--reference-path", "--simd=scalar"}) {
+        expectUserReject(
+            [&] {
+                CommonCliOptions opts;
+                if (!opts.tryParse(flag))
+                    CommonCliOptions::rejectUnknown(flag);
+            },
+            flag.substr(0, flag.find('=')));
+    }
     expectUserReject(
         [] {
             GpuConfig cfg;

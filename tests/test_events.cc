@@ -137,7 +137,7 @@ TEST_F(EventBusTest, LedgerIsWellFormedAndComplete)
 {
     const std::string path = tempPath("complete");
     EventBus::global().enable(path);
-    EventBus::global().emitRunStart(0x1111, 0x2222, "auto");
+    EventBus::global().emitRunStart(0x1111, 0x2222);
 
     const auto scenes = makeScenes();
     const std::vector<BatchResult> results = runSmallBatch(scenes, 2);

@@ -142,7 +142,7 @@ TEST(SerialisedBytes, EveryJsonFormMatchesPinnedText)
         });
     EventBus::global().enable(ledgerPath);
     EventBus::global().setInvocation("sim_cli --bench=\"SoD\"");
-    EventBus::global().emitRunStart(0x1111, 0xabcdef, "sse2");
+    EventBus::global().emitRunStart(0x1111, 0xabcdef);
     RunEvent submit(EventKind::JobSubmit, "SoD/\"d\"");
     submit.u64("frames", 3);
     EventBus::global().emit(std::move(submit));
@@ -163,7 +163,7 @@ TEST(SerialisedBytes, EveryJsonFormMatchesPinnedText)
               "\"t_ms\":#,\"event\":\"run_start\","
               "\"args\":\"sim_cli --bench=\\\"SoD\\\"\","
               "\"config\":\"0000000000001111\","
-              "\"build\":\"0000000000abcdef\",\"simd\":\"sse2\","
+              "\"build\":\"0000000000abcdef\","
               "\"pid\":#,\"nproc\":#,\"host\":#}\n");
     EXPECT_EQ(maskMembers(lines[1]),
               "{\"seq\":1,\"ts_ms\":#,\"t_ms\":#,"

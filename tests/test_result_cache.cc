@@ -103,6 +103,87 @@ TEST(Serial, FnvStringFramingPreventsConcatenationAliases)
     EXPECT_NE(a.value(), b.value());
 }
 
+// ---- Striped FNV checksum ----------------------------------------
+
+/** Deterministic xorshift64 for the random checksum inputs. */
+struct Rng
+{
+    std::uint64_t s = 0x9e3779b97f4a7c15ull;
+    std::uint64_t
+    next()
+    {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        return s;
+    }
+};
+
+/**
+ * Every tail length 0..3 and the chain crossover points against a
+ * byte-at-a-time reference (h[i % 4] chains, folded with length):
+ * the production unrolled loop must agree at every size.
+ */
+TEST(SimdHash, StripedFnvMatchesReferenceAtEverySize)
+{
+    Rng rng;
+    std::vector<std::uint8_t> buf;
+    auto reference = [](const std::vector<std::uint8_t> &b) {
+        std::uint64_t h[4] = {
+            Fnv1a64::kOffsetBasis, Fnv1a64::kOffsetBasis,
+            Fnv1a64::kOffsetBasis, Fnv1a64::kOffsetBasis};
+        for (std::size_t i = 0; i < b.size(); ++i)
+            h[i % 4] = (h[i % 4] ^ b[i]) * Fnv1a64::kPrime;
+        Fnv1a64 fold;
+        for (std::uint64_t d : h)
+            fold.u64(d);
+        fold.u64(b.size());
+        return fold.value();
+    };
+    for (std::size_t size = 0; size <= 130; ++size) {
+        buf.resize(size);
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng.next());
+        EXPECT_EQ(fnv1a64Striped(buf), reference(buf))
+            << "size=" << size;
+    }
+    buf.resize(65536);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    EXPECT_EQ(fnv1a64Striped(buf), reference(buf));
+}
+
+/**
+ * Freeze the v2 artifact-checksum format with an implementation the
+ * production code never touches: four byte-interleaved FNV-1a chains,
+ * folded with plain FNV-1a over the four digests and the length. A
+ * change to either side is a silent format break result_store and
+ * checkpoint files would trip over.
+ */
+TEST(SimdHash, StripedFnvFormatIsFrozen)
+{
+    Rng rng;
+    std::vector<std::uint8_t> buf(1037);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+
+    std::uint64_t h[4] = {Fnv1a64::kOffsetBasis, Fnv1a64::kOffsetBasis,
+                          Fnv1a64::kOffsetBasis, Fnv1a64::kOffsetBasis};
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        h[i % 4] = (h[i % 4] ^ buf[i]) * Fnv1a64::kPrime;
+    Fnv1a64 fold;
+    fold.u64(h[0]);
+    fold.u64(h[1]);
+    fold.u64(h[2]);
+    fold.u64(h[3]);
+    fold.u64(buf.size());
+
+    EXPECT_EQ(fnv1a64Striped(buf), fold.value());
+    // Not interchangeable with the serial digest (a mixed-up call site
+    // must fail checksum verification, not silently pass).
+    EXPECT_NE(fnv1a64Striped(buf), fnv1a64(buf));
+}
+
 // ---- Key canonicalization ----------------------------------------
 
 TEST(ResultKeyTest, DefaultAndExplicitSpellingsHashEqual)
@@ -238,9 +319,9 @@ TEST(ResultKeyTest, EveryResultAffectingKnobChangesTheKey)
 
 TEST(ResultKeyTest, HostExecutionKnobsAreExcluded)
 {
-    // These knobs are proven bit-identical by the rest of the suite
-    // (SIMD equivalence tests) or inert (the thread members), so cache
-    // entries and checkpoints must be shared across them.
+    // These knobs are inert (the thread members) or only bound a hang
+    // (the watchdog), so cache entries and checkpoints must be shared
+    // across them.
     const GpuConfig base = makeDTexLConfig();
     const std::uint64_t h0 = hashConfig(base);
 
@@ -251,11 +332,6 @@ TEST(ResultKeyTest, HostExecutionKnobsAreExcluded)
     c = base;
     c.rasterThreads = 4;
     EXPECT_EQ(hashConfig(c), h0) << "rasterThreads";
-
-    c = base;
-    c.simdMode = c.simdMode == SimdMode::Auto ? SimdMode::Scalar
-                                              : SimdMode::Auto;
-    EXPECT_EQ(hashConfig(c), h0) << "simdMode";
 
     c = base;
     c.watchdogCycles = 123;
@@ -269,7 +345,7 @@ TEST(ResultKeyTest, ConfigSizeCanary)
     // hashConfig()/the exclusion list in result_key.hh accordingly,
     // extend EveryResultAffectingKnobChangesTheKey, and only then pin
     // the new size here.
-    EXPECT_EQ(sizeof(GpuConfig), 208u)
+    EXPECT_EQ(sizeof(GpuConfig), 200u)
         << "GpuConfig layout changed - update hashConfig() first";
 }
 

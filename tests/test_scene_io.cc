@@ -186,6 +186,24 @@ TEST(SceneIoErrors, RejectsOutOfRangeIndex)
         "index out of range", "test.dscene:9");
 }
 
+TEST(SimdGuards, SceneLoaderRejectsNonPow2Side)
+{
+    std::stringstream ss("DTEXL_SCENE v1\n"
+                         "textures 1\n"
+                         "  0 4096 48 RGBA8\n"
+                         "draws 0\n");
+    try {
+        loadScene(ss, "test.dscene");
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::UserInput) << e.describe();
+        EXPECT_NE(e.describe().find("power of two"), std::string::npos)
+            << e.describe();
+        EXPECT_EQ(e.context().rfind("test.dscene:3", 0), 0u)
+            << e.context();
+    }
+}
+
 // ---------- config option parsing ----------
 
 TEST(ConfigOptions, AppliesSchedulingKeys)

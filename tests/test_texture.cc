@@ -16,6 +16,7 @@
 
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "common/sim_error.hh"
 #include "texture/sampler.hh"
 #include "texture/texture.hh"
 
@@ -348,6 +349,26 @@ TEST(Sampler, QuadFootprintDigestIsPinned)
     }
     EXPECT_EQ(lines_total, 3530744u);
     EXPECT_EQ(h.value(), 0xed7215cb0bd9d1c5ull);
+}
+
+// ---- pow2 texture side (the wrap mask's precondition) ----
+
+TEST(SimdGuards, TextureRejectsNonPow2Side)
+{
+    for (std::uint32_t side : {0u, 3u, 48u, 100u, 65u}) {
+        try {
+            TextureDesc t(7, 0, side);
+            FAIL() << "side " << side << " accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::UserInput) << e.describe();
+            EXPECT_NE(e.describe().find("power of two"),
+                      std::string::npos)
+                << e.describe();
+        }
+    }
+    // Powers of two stay accepted, including the trivial 1x1.
+    EXPECT_NO_THROW(TextureDesc(8, 0, 1));
+    EXPECT_NO_THROW(TextureDesc(9, 0, 1024));
 }
 
 } // namespace
